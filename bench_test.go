@@ -191,29 +191,6 @@ func BenchmarkGreedyConnect(b *testing.B) {
 	}
 }
 
-// BenchmarkConcurrentBatch8 measures routing a full permutation with 8
-// worker goroutines on n=64.
-func BenchmarkConcurrentBatch8(b *testing.B) {
-	nw := benchNetwork(b, 3)
-	n := len(nw.Inputs())
-	perm := rng.New(4).Perm(n)
-	reqs := make([]route.Request, n)
-	for i := range reqs {
-		reqs[i] = route.Request{In: nw.Inputs()[i], Out: nw.Outputs()[perm[i]]}
-	}
-	cr := route.NewConcurrentRouter(nw.G)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		results := cr.ServeBatch(reqs, 8, uint64(i))
-		for _, res := range results {
-			if res.Path != nil {
-				cr.Release(res.Path)
-			}
-		}
-	}
-}
-
 // benchChurn drives any route.Engine with the operational connect/release
 // churn stream (netsim.Workload) at 50% circuit occupancy and reports
 // operational requests served per second — connect requests plus release
@@ -232,9 +209,7 @@ func benchChurn(b *testing.B, nw *Network, eng route.Engine, batch int) {
 	}
 	served := 0
 	connects := 0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	round := func() {
 		reqs := wl.NextConnects(batch)
 		res = eng.ConnectBatch(reqs, res)
 		connects += len(reqs)
@@ -247,6 +222,19 @@ func benchChurn(b *testing.B, nw *Network, eng route.Engine, batch int) {
 			served++
 		}
 		served += k
+	}
+	// Warm-up: the first rounds after the fill still grow the engine's and
+	// the workload's pools, and a short run (tens of iterations) would bill
+	// that one-time growth to allocs/op. A fixed set of untimed rounds
+	// reaches the steady state at any -benchtime.
+	for i := 0; i < 64; i++ {
+		round()
+	}
+	served, connects = 0, 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
 	}
 	b.StopTimer()
 	el := b.Elapsed().Seconds()

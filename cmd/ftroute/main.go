@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	ftroute -nu 2 -eps 0.002 -ops 40 [-concurrent -workers 4]
+//	ftroute -nu 2 -eps 0.002 -ops 40
 package main
 
 import (
@@ -27,8 +27,6 @@ func main() {
 	eps := flag.Float64("eps", 0.002, "switch failure rate ε (open = closed = ε)")
 	ops := flag.Int("ops", 40, "churn operations")
 	seed := flag.Uint64("seed", 7, "seed")
-	concurrent := flag.Bool("concurrent", false, "use the CAS-claiming concurrent router for a batch permutation")
-	workers := flag.Int("workers", 4, "concurrent workers")
 	flag.Parse()
 
 	p := core.Params{Nu: *nu, Gamma: 0, M: *m, DQ: *dq, Seed: 1}
@@ -57,26 +55,6 @@ func main() {
 	rep := nw.MajorityAccess(ac, masks)
 	fmt.Printf("majority-access certificate (Lemma 6): OK=%v (middle stage %d, strict majority needed %d)\n",
 		rep.OK, rep.MiddleSize, rep.MiddleSize/2+1)
-
-	if *concurrent {
-		n := p.N()
-		perm := r.Perm(n)
-		reqs := make([]route.Request, n)
-		for i := range reqs {
-			reqs[i] = route.Request{In: nw.Inputs()[i], Out: nw.Outputs()[perm[i]]}
-		}
-		cr := route.NewConcurrentRepairedRouter(inst)
-		results := cr.ServeBatch(reqs, *workers, *seed)
-		okCount := 0
-		for _, res := range results {
-			if res.Path != nil {
-				okCount++
-			}
-		}
-		fmt.Printf("concurrent batch: %d/%d circuits established with %d workers (disjoint=%v)\n",
-			okCount, n, *workers, route.VerifyDisjoint(results))
-		return
-	}
 
 	rt := route.NewRepairedRouter(inst)
 	var cd netsim.ChurnDriver

@@ -18,11 +18,11 @@ func baseConfig() config {
 // faulty networks.
 func TestRunDeterministic(t *testing.T) {
 	cases := map[string]func(*config){
-		"router":       func(c *config) { c.engine = "router" },
-		"sharded":      func(c *config) { c.engine = "sharded"; c.shards = 4 },
-		"cas-seq":      func(c *config) { c.engine = "cas"; c.workers = 0 },
-		"faulty":       func(c *config) { c.eps = 0.002 },
-		"mmpp-hotspot": func(c *config) { c.arrival = "mmpp"; c.pattern = "hotspot" },
+		"router":        func(c *config) { c.engine = "router" },
+		"sharded":       func(c *config) { c.engine = "sharded"; c.shards = 4 },
+		"router-faulty": func(c *config) { c.engine = "router"; c.eps = 0.002 },
+		"faulty":        func(c *config) { c.eps = 0.002 },
+		"mmpp-hotspot":  func(c *config) { c.arrival = "mmpp"; c.pattern = "hotspot" },
 		"diurnal-pareto": func(c *config) {
 			c.arrival = "diurnal"
 			c.holdDist = "pareto"

@@ -92,13 +92,9 @@ type Router = route.Router
 // shard count. See internal/route and DESIGN.md §2.7.
 type ShardedEngine = route.ShardedEngine
 
-// ConcurrentRouter serves batches with one CAS-claiming goroutine per
-// worker — the distributed-path-selection analogue measured by E9.
-type ConcurrentRouter = route.ConcurrentRouter
-
-// Engine is the uniform seam over the three path-hunting engines (Router,
-// ConcurrentRouter, ShardedEngine): ConnectBatch / Disconnect / PathOf /
-// Reset / Stats plus shared-mask adoption. The Theorem-2 trial pipeline
+// Engine is the uniform seam over the two path-hunting engines (Router,
+// ShardedEngine): ConnectBatch / Disconnect / PathOf / Reset / Stats plus
+// shared-mask adoption. The Theorem-2 trial pipeline
 // drives its churn through this seam (Evaluator.SetChurnEngine); see
 // DESIGN.md §2.8.
 type Engine = route.Engine
@@ -171,10 +167,6 @@ func NewEvaluator(nw *Network) *Evaluator { return core.NewEvaluator(nw) }
 // sweeps: pool.NewEvaluator(nw) draws a pooled evaluator, Release recycles
 // its buffers for the next network.
 func NewEvaluatorPool() *EvaluatorPool { return core.NewEvaluatorPool() }
-
-// NewConcurrentRouter returns a CAS-claiming batch router over the
-// fault-free network (set Workers for the engine-seam goroutine count).
-func NewConcurrentRouter(g *Graph) *ConcurrentRouter { return route.NewConcurrentRouter(g) }
 
 // NewRouter returns a greedy circuit router over the fault-free network.
 func NewRouter(g *Graph) *Router { return route.NewRouter(g) }

@@ -93,85 +93,6 @@ func pathSnapshot(eng route.Engine, g *graph.Graph) string {
 	return s
 }
 
-// engineChurnPerOp replays the coin-flip churn protocol one op at a time
-// through the Engine seam (size-1 ConnectBatch calls) — the per-op
-// reference for engines that have no route.Router counterpart, such as
-// the sequential-mode concurrent router.
-func engineChurnPerOp(eng route.Engine, inputs, outputs []int32, ops int, r *rng.RNG) (connects, failures, pathTotal int) {
-	type circuit struct{ in, out int32 }
-	var live []circuit
-	idleIn := append([]int32(nil), inputs...)
-	idleOut := append([]int32(nil), outputs...)
-	var res []route.Result
-	for op := 0; op < ops; op++ {
-		doConnect := len(live) == 0 || (len(idleIn) > 0 && r.Bernoulli(0.5))
-		if doConnect && len(idleIn) > 0 && len(idleOut) > 0 {
-			ii := r.Intn(len(idleIn))
-			oo := r.Intn(len(idleOut))
-			in, out := idleIn[ii], idleOut[oo]
-			connects++
-			res = eng.ConnectBatch([]route.Request{{In: in, Out: out}}, res)
-			if res[0].Path == nil {
-				failures++
-				continue
-			}
-			pathTotal += len(res[0].Path) - 1
-			idleIn[ii] = idleIn[len(idleIn)-1]
-			idleIn = idleIn[:len(idleIn)-1]
-			idleOut[oo] = idleOut[len(idleOut)-1]
-			idleOut = idleOut[:len(idleOut)-1]
-			live = append(live, circuit{in, out})
-		} else if len(live) > 0 {
-			ci := r.Intn(len(live))
-			c := live[ci]
-			if err := eng.Disconnect(c.in, c.out); err == nil {
-				idleIn = append(idleIn, c.in)
-				idleOut = append(idleOut, c.out)
-			}
-			live[ci] = live[len(live)-1]
-			live = live[:len(live)-1]
-		}
-	}
-	return connects, failures, pathTotal
-}
-
-// TestChurnDriverConcurrentSequential: the concurrent router's Sequential
-// mode has the sequential-batch semantics ChurnDriver speculation
-// requires — batch-shaped churn on it must match the per-op protocol on a
-// second identically-configured router bit for bit (aggregates, final RNG
-// state, and every live circuit's path), including under heavy faults
-// where rejections force the rollback path.
-func TestChurnDriverConcurrentSequential(t *testing.T) {
-	nw := buildSmall(t)
-	for _, eps := range []float64{0, 0.08, 0.25} {
-		m := repairedMasks(t, nw, eps, 0xC0FFEE+uint64(eps*1000))
-
-		ref := route.NewConcurrentRouter(nw.G)
-		ref.Sequential = true
-		ref.SetMasksShared(m.VertexOK, m.EdgeOK, m.OutAllowed)
-		const ops = 400
-		refR := rng.New(42)
-		wantC, wantF, wantP := engineChurnPerOp(ref, nw.G.Inputs(), nw.G.Outputs(), ops, refR)
-
-		cr := route.NewConcurrentRouter(nw.G)
-		cr.Sequential = true
-		cr.SetMasksShared(m.VertexOK, m.EdgeOK, m.OutAllowed)
-		var cd netsim.ChurnDriver
-		r := rng.New(42)
-		gotC, gotF, gotP := cd.Run(cr, nw.G.Inputs(), nw.G.Outputs(), ops, r)
-		if gotC != wantC || gotF != wantF || gotP != wantP {
-			t.Fatalf("eps=%v: (connects,failures,pathTotal)=(%d,%d,%d), want (%d,%d,%d)",
-				eps, gotC, gotF, gotP, wantC, wantF, wantP)
-		}
-		if r.State() != refR.State() {
-			t.Fatalf("eps=%v: final RNG state diverged", eps)
-		}
-		if got, want := pathSnapshot(cr, nw.G), pathSnapshot(ref, nw.G); got != want {
-			t.Fatalf("eps=%v: live circuit paths diverged:\n%s\nwant:\n%s", eps, got, want)
-		}
-	}
-}
-
 // TestChurnDriverRollbackExercised pins down that the heavy-fault case
 // actually takes the rollback path (otherwise the differential above
 // proves less than it claims).

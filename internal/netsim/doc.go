@@ -17,10 +17,4 @@
 // protocol: Workload generates connect/release batches by coin flip with
 // engine feedback, and ChurnDriver drives the whole protocol against an
 // engine, bit-identical to the per-op reference core.ChurnWith.
-//
-// netsim.go is a third, concurrent layer: a CSP-style message-passing
-// simulator of the distributed probe/ack/release circuit protocol (its
-// file comment has the details). It validates the paper's greedy-routing
-// claim in a distributed setting and is deliberately outside the
-// deterministic serving path.
 package netsim

@@ -5,8 +5,8 @@ package netsim
 // timestamped arrivals drawn independently of the network, it emits
 // connect batches and release picks whose composition depends on the
 // engine's own accept/reject decisions, the Theorem-2 churn protocol.
-// It is engine-agnostic — the same stream drives the link-level Sim, the
-// sequential route.Router, and route.ShardedEngine — which is what the
+// It is engine-agnostic — the same stream drives the sequential
+// route.Router and route.ShardedEngine — which is what the
 // differential harnesses lean on: identical decisions imply identical
 // subsequent workload, so decision streams of two engines can be compared
 // step by step under arbitrary churn.

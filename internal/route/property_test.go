@@ -140,89 +140,3 @@ func TestQuickConnectNeverUsesFailedSwitch(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestQuickConcurrentDisjointness: under arbitrary request batches and
-// worker counts, established concurrent paths are vertex-disjoint.
-func TestQuickConcurrentDisjointness(t *testing.T) {
-	root := rng.New(0x42)
-	f := func(tick uint16) bool {
-		r := root.Split(uint64(tick))
-		g := randomStaged(r)
-		cr := NewConcurrentRouter(g)
-		var reqs []Request
-		for i := 0; i < 12; i++ {
-			reqs = append(reqs, Request{
-				In:  g.Inputs()[r.Intn(len(g.Inputs()))],
-				Out: g.Outputs()[r.Intn(len(g.Outputs()))],
-			})
-		}
-		results := cr.ServeBatch(reqs, 1+r.Intn(6), r.Uint64())
-		return VerifyDisjoint(results)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestSequentialAndConcurrentAgreeOnCapacity: when requests are disjoint
-// by construction (a partial matching), both engines establish them all on
-// a crossbar-complete network.
-func TestSequentialAndConcurrentAgreeOnCapacity(t *testing.T) {
-	// Dense network: every input sees every middle, every middle every
-	// output, middles ≥ terminals: all matchings route.
-	b := graph.NewBuilder(12, 32)
-	var ins, mids, outs []int32
-	for i := 0; i < 4; i++ {
-		v := b.AddVertex(0)
-		b.MarkInput(v)
-		ins = append(ins, v)
-	}
-	for i := 0; i < 4; i++ {
-		mids = append(mids, b.AddVertex(1))
-	}
-	for i := 0; i < 4; i++ {
-		v := b.AddVertex(2)
-		b.MarkOutput(v)
-		outs = append(outs, v)
-	}
-	for _, in := range ins {
-		for _, m := range mids {
-			b.AddEdge(in, m)
-		}
-	}
-	for _, m := range mids {
-		for _, o := range outs {
-			b.AddEdge(m, o)
-		}
-	}
-	g := b.Freeze()
-
-	r := rng.New(0x43)
-	for trial := 0; trial < 20; trial++ {
-		perm := r.Perm(4)
-		// Sequential.
-		rt := NewRouter(g)
-		seqOK := 0
-		for i, p := range perm {
-			if _, err := rt.Connect(ins[i], outs[p]); err == nil {
-				seqOK++
-			}
-		}
-		// Concurrent.
-		cr := NewConcurrentRouter(g)
-		reqs := make([]Request, 4)
-		for i, p := range perm {
-			reqs[i] = Request{In: ins[i], Out: outs[p]}
-		}
-		results := cr.ServeBatch(reqs, 4, uint64(trial))
-		concOK := 0
-		for _, res := range results {
-			if res.Path != nil {
-				concOK++
-			}
-		}
-		if seqOK != 4 || concOK != 4 {
-			t.Fatalf("trial %d: sequential %d/4, concurrent %d/4", trial, seqOK, concOK)
-		}
-	}
-}

@@ -11,11 +11,9 @@
 // fail; on weaker networks (Beneš without rearrangement, butterflies) its
 // failures are themselves measurements, which experiment E9 exploits.
 //
-// Two engines are provided: the sequential Router, and ConcurrentRouter,
-// which processes many connection requests in parallel with one goroutine
-// per request, claiming vertices with atomic compare-and-swap and retrying
-// on conflict — a software analogue of the distributed path-selection
-// setting of Arora, Leighton & Maggs [ALM].
+// Two engines are provided: the sequential Router (the reference oracle),
+// and ShardedEngine, which serves batches across shards in parallel with
+// decisions and paths bit-identical to the Router's (sharded.go).
 package route
 
 import (
@@ -93,12 +91,19 @@ func NewRouterIn(g *graph.Graph, a *arena.Arena) *Router {
 // fault instance: the paper's discard rule removes both endpoints of every
 // failed switch (terminals excepted), and only normal switches conduct.
 func NewRepairedRouter(inst *fault.Instance) *Router {
-	usable := inst.Repair()
-	edgeOK := make([]bool, inst.G.NumEdges())
+	usable, edgeOK := repairedMasks(inst)
+	return newRouter(inst.G, usable, edgeOK)
+}
+
+// repairedMasks applies the discard rule to inst: the usable-vertex mask
+// and the per-switch conduction mask of the repaired network.
+func repairedMasks(inst *fault.Instance) (usable, edgeOK []bool) {
+	usable = inst.Repair()
+	edgeOK = make([]bool, inst.G.NumEdges())
 	for e := range edgeOK {
 		edgeOK[e] = inst.RepairedEdgeUsable(usable, int32(e))
 	}
-	return newRouter(inst.G, usable, edgeOK)
+	return usable, edgeOK
 }
 
 func newRouter(g *graph.Graph, vertexOK, edgeOK []bool) *Router {
@@ -317,9 +322,6 @@ func (rt *Router) ActiveCircuits() int { return len(rt.circuits) }
 
 // Busy reports whether vertex v is held by a circuit.
 func (rt *Router) Busy(v int32) bool { return rt.busy[v] }
-
-// BusyMask returns the busy-vertex mask (shared; do not mutate).
-func (rt *Router) BusyMask() []bool { return rt.busy }
 
 // PathOf returns the established path for (in, out), or nil.
 func (rt *Router) PathOf(in, out int32) []int32 { return rt.circuits[circuitKey(in, out)] }

@@ -232,87 +232,6 @@ func TestPathOf(t *testing.T) {
 	}
 }
 
-// --- concurrent router ---
-
-func TestConcurrentBatchDisjoint(t *testing.T) {
-	g := crossbar()
-	cr := NewConcurrentRouter(g)
-	reqs := []Request{
-		{g.Inputs()[0], g.Outputs()[0]},
-		{g.Inputs()[1], g.Outputs()[1]},
-	}
-	results := cr.ServeBatch(reqs, 2, 11)
-	for i, res := range results {
-		if res.Path == nil {
-			t.Fatalf("request %d failed", i)
-		}
-	}
-	if !VerifyDisjoint(results) {
-		t.Fatal("paths share vertices")
-	}
-}
-
-func TestConcurrentRelease(t *testing.T) {
-	g := crossbar()
-	cr := NewConcurrentRouter(g)
-	res := cr.ServeBatch([]Request{{g.Inputs()[0], g.Outputs()[0]}}, 1, 3)
-	if res[0].Path == nil {
-		t.Fatal("connect failed")
-	}
-	mid := res[0].Path[1]
-	if !cr.Claimed(mid) {
-		t.Fatal("middle vertex not claimed")
-	}
-	cr.Release(res[0].Path)
-	if cr.Claimed(mid) {
-		t.Fatal("release did not free vertex")
-	}
-}
-
-func TestConcurrentHighContention(t *testing.T) {
-	// Many goroutines compete for 2 inputs' worth of disjoint paths; safety
-	// (disjointness) must hold regardless of which requests win.
-	g := crossbar()
-	cr := NewConcurrentRouter(g)
-	var reqs []Request
-	for i := 0; i < 16; i++ {
-		reqs = append(reqs, Request{g.Inputs()[i%2], g.Outputs()[(i/2)%2]})
-	}
-	results := cr.ServeBatch(reqs, 8, 17)
-	if !VerifyDisjoint(results) {
-		t.Fatal("contention broke disjointness")
-	}
-	ok := 0
-	for _, res := range results {
-		if res.Path != nil {
-			ok++
-		}
-	}
-	// The two inputs can host at most 2 simultaneous circuits.
-	if ok > 2 {
-		t.Fatalf("%d circuits on 2 inputs", ok)
-	}
-	if ok == 0 {
-		t.Fatal("no circuit established at all")
-	}
-}
-
-func TestConcurrentRepairedRouter(t *testing.T) {
-	g := crossbar2()
-	inst := fault.NewInstance(g)
-	inst.SetState(g.OutEdges(g.Inputs()[0])[0], fault.Open)
-	cr := NewConcurrentRepairedRouter(inst)
-	res := cr.ServeBatch([]Request{{g.Inputs()[0], g.Outputs()[0]}}, 1, 5)
-	if res[0].Path == nil {
-		t.Fatal("repaired concurrent router found no alternate path")
-	}
-	for _, v := range res[0].Path {
-		if faulty := inst.FaultyVertices(); faulty[v] && !g.IsTerminal(v) {
-			t.Fatal("path used discarded vertex")
-		}
-	}
-}
-
 func TestVerifyInvariantsCatchesCorruption(t *testing.T) {
 	g := crossbar()
 	rt := NewRouter(g)
@@ -335,15 +254,6 @@ func TestEpochWraparound(t *testing.T) {
 		if err := rt.Disconnect(g.Inputs()[0], g.Outputs()[0]); err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-func TestServeBatchZeroWorkers(t *testing.T) {
-	g := crossbar()
-	cr := NewConcurrentRouter(g)
-	res := cr.ServeBatch([]Request{{g.Inputs()[0], g.Outputs()[0]}}, 0, 1)
-	if res[0].Path == nil {
-		t.Fatal("workers<1 should clamp to 1 and still work")
 	}
 }
 

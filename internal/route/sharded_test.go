@@ -200,7 +200,7 @@ func TestShardedInvarianceAcrossShardsAndPrefilter(t *testing.T) {
 		t.Error("prefilter never rejected anything; its exactness was not exercised")
 	}
 	if !sawFallbacks {
-		t.Error("CAS fallback never ran; conflict path was not exercised")
+		t.Error("commit-time fallback never ran; conflict path was not exercised")
 	}
 }
 
@@ -252,7 +252,7 @@ func TestShardedRaceStress(t *testing.T) {
 // TestShardedFastPathDominatesLightChurn: under light operational churn the
 // speculative fast path should serve nearly everything; under saturating
 // batches from an empty network, conflicts must push requests through the
-// CAS fallback instead. Both regimes must leave consistent claim state.
+// commit-time fallback instead. Both regimes must leave consistent claim state.
 func TestShardedFastPathDominatesLightChurn(t *testing.T) {
 	nw := buildNet(t, 3)
 	se := route.NewShardedEngine(nw.G, 4)
@@ -329,8 +329,7 @@ func TestShardedDisconnectErrors(t *testing.T) {
 	if err := se.Disconnect(in, nw.Outputs()[1]); err == nil {
 		t.Fatal("disconnect with wrong output succeeded")
 	}
-	// Busy endpoint: rejected without probing (Attempts stays 0), like the
-	// concurrent router's unusable-endpoint convention.
+	// Busy endpoint: rejected without probing (Attempts stays 0).
 	res = se.ServeBatch([]route.Request{{In: in, Out: nw.Outputs()[1]}}, res)
 	if res[0].Path != nil || res[0].Attempts != 0 {
 		t.Fatalf("busy-endpoint request: got path=%v attempts=%d, want reject with 0 attempts",
