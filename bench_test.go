@@ -484,8 +484,8 @@ func BenchmarkZooBatchCertTrial(b *testing.B) {
 }
 
 // BenchmarkZooShardedChurnTrial is BenchmarkEvaluatorShardedChurnTrial on
-// the permuted-sweep HyperX family: the sharded engine's output-set
-// prefilter and reachability guide now key off topological levels, so the
+// the permuted-sweep HyperX family: the sharded engine's reachability
+// guide keys off topological levels, so the
 // batch-shaped churn fast path serves non-staged topologies too.
 func BenchmarkZooShardedChurnTrial(b *testing.B) {
 	nw := benchZooNetwork(b)

@@ -118,7 +118,7 @@ type RouteResult = route.Result
 type Graph = graph.Graph
 
 // Levels is a graph's cached topological leveling — the contract behind
-// every fast path (word-parallel certification, sharded prefilter and
+// every fast path (word-parallel certification, the sharded engine's
 // probe guide, level-ordered sweeps): obtain it with Graph.Levels(). On
 // fully staged, stage-monotone graphs (Network 𝒩 and friends) the
 // leveling is the stage assignment verbatim, so historical results are

@@ -16,7 +16,7 @@ import (
 // the sharded speculate-then-commit engine at several shard counts) must
 // produce bit-identical per-trial outcomes to the legacy per-trial engine,
 // whose churn is the per-op ChurnWith loop. Families × ε × shard counts,
-// prefilter modes, and a fuzz harness over op streams.
+// and a fuzz harness over op streams.
 
 // TestDifferentialShardedChurnVsPerOp runs the batched pipeline with
 // SetChurnEngine(ShardedEngine) against per-trial EvaluateInto reference
@@ -45,22 +45,18 @@ func TestDifferentialShardedChurnVsPerOp(t *testing.T) {
 			}
 
 			for _, shards := range shardGrid {
-				for _, pf := range []route.PrefilterMode{route.PrefilterAuto, route.PrefilterOn, route.PrefilterOff} {
-					label := fmt.Sprintf("%s/eps=%v/shards=%d/pf=%d", name, eps, shards, pf)
-					ev := NewEvaluator(nw)
-					se := route.NewShardedEngine(nw.G, shards)
-					se.Prefilter = pf
-					ev.SetChurnEngine(se)
-					var out TrialOutcome
-					for first := 0; first < trials; first += 8 {
-						n := min(8, trials-first)
-						ev.StartBlock(m, seed, uint64(first), n)
-						for j := 0; j < n; j++ {
-							ev.EvaluateNextInto(&out, churnOps)
-							if out != want[first+j] {
-								t.Fatalf("%s: trial %d diverged:\nsharded %+v\nlegacy  %+v",
-									label, first+j, out, want[first+j])
-							}
+				label := fmt.Sprintf("%s/eps=%v/shards=%d", name, eps, shards)
+				ev := NewEvaluator(nw)
+				ev.SetChurnEngine(route.NewShardedEngine(nw.G, shards))
+				var out TrialOutcome
+				for first := 0; first < trials; first += 8 {
+					n := min(8, trials-first)
+					ev.StartBlock(m, seed, uint64(first), n)
+					for j := 0; j < n; j++ {
+						ev.EvaluateNextInto(&out, churnOps)
+						if out != want[first+j] {
+							t.Fatalf("%s: trial %d diverged:\nsharded %+v\nlegacy  %+v",
+								label, first+j, out, want[first+j])
 						}
 					}
 				}
@@ -132,15 +128,15 @@ func TestEvaluatorShardedChurnAllocFree(t *testing.T) {
 }
 
 // FuzzBatchChurnVsPerOp fuzzes the op-stream space: arbitrary (seed, ε,
-// ops, shards, prefilter) tuples must keep the batch-shaped churn driver
+// ops, shards) tuples must keep the batch-shaped churn driver
 // bit-identical to the per-op reference through the full trial pipeline.
 func FuzzBatchChurnVsPerOp(f *testing.F) {
 	pinProcs(f, 4)
-	f.Add(uint64(1), uint16(0), uint8(40), uint8(1), uint8(0))
-	f.Add(uint64(2), uint16(800), uint8(90), uint8(2), uint8(1))
-	f.Add(uint64(99), uint16(2500), uint8(255), uint8(3), uint8(2))
+	f.Add(uint64(1), uint16(0), uint8(40), uint8(1))
+	f.Add(uint64(2), uint16(800), uint8(90), uint8(2))
+	f.Add(uint64(99), uint16(2500), uint8(255), uint8(3))
 	nw := buildNetwork(f, Params{Nu: 1, Gamma: 0, M: 4, DQ: 2, Seed: 2})
-	f.Fuzz(func(t *testing.T, seed uint64, epsMil uint16, ops, shards, pf uint8) {
+	f.Fuzz(func(t *testing.T, seed uint64, epsMil uint16, ops, shards uint8) {
 		eps := float64(epsMil%3000) / 10000.0 // 0 .. 0.3
 		m := fault.Symmetric(eps)
 		churnOps := int(ops)
@@ -153,15 +149,13 @@ func FuzzBatchChurnVsPerOp(f *testing.F) {
 		lev.EvaluateInto(&want, m, &r, churnOps)
 
 		ev := NewEvaluator(nw)
-		se := route.NewShardedEngine(nw.G, S)
-		se.Prefilter = route.PrefilterMode(pf % 3)
-		ev.SetChurnEngine(se)
+		ev.SetChurnEngine(route.NewShardedEngine(nw.G, S))
 		ev.StartBlock(m, seed, 0, 1)
 		var got TrialOutcome
 		ev.EvaluateNextInto(&got, churnOps)
 		if got != want {
-			t.Fatalf("diverged (eps=%v ops=%d shards=%d pf=%d):\nsharded %+v\nlegacy  %+v",
-				eps, churnOps, S, pf%3, got, want)
+			t.Fatalf("diverged (eps=%v ops=%d shards=%d):\nsharded %+v\nlegacy  %+v",
+				eps, churnOps, S, got, want)
 		}
 	})
 }

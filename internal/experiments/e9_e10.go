@@ -142,7 +142,7 @@ func E9Routing(mode Mode) Result {
 	}
 	res.Notes = append(res.Notes,
 		"whenever the Lemma-6 certificate holds, greedy churn never blocks (blocked = 0): strict nonblockingness is operational, not just structural",
-		"the sharded engine establishes exactly the sequential router's circuit set at every shard count — speculation and the word-parallel prefilter are decision-neutral; throughput is tracked in BENCH.json (BenchmarkShardedChurn), not here")
+		"the sharded engine establishes exactly the sequential router's circuit set at every shard count — speculation is decision-neutral; throughput is tracked in BENCH.json (BenchmarkShardedChurn), not here")
 	return res
 }
 

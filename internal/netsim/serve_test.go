@@ -247,3 +247,37 @@ func TestOpenLoopServeAllocFree(t *testing.T) {
 		t.Fatalf("warm open-loop serve allocates %v per run (800 events), want 0", allocs)
 	}
 }
+
+// TestServeRepairedShardedMatchesRouter: open-loop serving on a repaired
+// network with real blocking (ε=0.03, so snapshot probes fail, not just
+// endpoint screens) must give the sharded engine exactly the sequential
+// router's SLO and engine counters.
+func TestServeRepairedShardedMatchesRouter(t *testing.T) {
+	nw, err := core.Build(core.DefaultParams(3)) // n = 64
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst := fault.Inject(nw.G, fault.Symmetric(0.03), rng.New(1))
+	run := func(eng route.Engine) stats.SLOSnapshot {
+		var slo stats.SLO
+		cfg := netsim.ServeConfig{MaxArrivals: 4000}
+		if err := netsim.Serve(eng, openLoopSource(nw, 0xB10C, 4.0), cfg, &slo); err != nil {
+			t.Fatal(err)
+		}
+		return slo.Snapshot()
+	}
+	rt := route.NewRepairedRouter(inst)
+	rt.EnablePathReuse()
+	se := route.NewRepairedShardedEngine(inst, 4)
+	defer se.Close()
+	want, got := run(rt), run(se)
+	if got != want {
+		t.Fatalf("SLO snapshots differ:\nrouter  %+v\nsharded %+v", want, got)
+	}
+	if rs, ss := rt.Stats(), se.Stats(); rs != ss {
+		t.Fatalf("engine stats differ:\nrouter  %+v\nsharded %+v", rs, ss)
+	}
+	if st := se.ShardedStats(); st.ProbeRejects == 0 {
+		t.Fatalf("no snapshot probe failed (%+v); the repaired network never blocked", st)
+	}
+}

@@ -156,7 +156,6 @@ func TestShardedParallelServeBatchAllocFree(t *testing.T) {
 	pinProcs(t, 4)
 	nw := buildNet(t, 3)
 	se := route.NewShardedEngine(nw.G, 4)
-	se.Prefilter = route.PrefilterOn // warm the lane-pass scratch too
 	defer se.Close()
 	n := len(nw.Inputs())
 	perm := rng.New(5).Perm(n)

@@ -16,10 +16,7 @@ package route
 //     montecarlo.BlockStarter scratches. Batches big enough to pay for the
 //     handoff run on persistent worker goroutines parked on the engine's
 //     task channel (one per shard beyond the caller's), so fanning a batch
-//     out costs a channel wake, not a goroutine spawn. A word-parallel
-//     prefilter (feasibility.go) can answer "which of these ≤64 pending
-//     requests have any idle path right now" in one lane sweep before any
-//     probing runs.
+//     out costs a channel wake, not a goroutine spawn.
 //
 //   - Phase B (commit): requests commit in input order into the engine's
 //     atomic claim array. A speculative path whose probe
@@ -46,14 +43,13 @@ package route
 //     Router — by construction; see the proof at commitDisjoint.
 //
 // Within a batch only connects happen, so the claimed-vertex set grows
-// monotonically: a request with no idle path at the batch-start snapshot
-// (prefilter or probe says so) has none at its turn either, and rejecting
-// it early is decision-identical to the sequential Router. This monotone
-// argument plus the untouched-probe argument make the whole engine
-// deterministic: results depend only on (committed state, request batch),
-// never on the shard count, the scheduler, or whether the prefilter ran.
-// The differential and invariance tests in sharded_test.go lock all of
-// this down.
+// monotonically: a request whose probe finds no idle path at the
+// batch-start snapshot has none at its turn either, and rejecting it early
+// is decision-identical to the sequential Router. This monotone argument
+// plus the untouched-probe argument make the whole engine deterministic:
+// results depend only on (committed state, request batch), never on the
+// shard count or the scheduler. The differential and invariance tests in
+// sharded_test.go lock all of this down.
 
 import (
 	"fmt"
@@ -63,32 +59,6 @@ import (
 
 	"ftcsn/internal/fault"
 	"ftcsn/internal/graph"
-)
-
-// PrefilterMode selects when ServeBatch runs the word-parallel feasibility
-// sweep ahead of per-request probing. The sweep is decision-neutral — it
-// rejects exactly the requests whose probe would fail on the same snapshot
-// — so the mode is a pure performance knob.
-type PrefilterMode uint8
-
-const (
-	// PrefilterAuto engages the sweep per shard while that shard's rejects
-	// are common (≥1/16 of its share of the previous batch): sweeping 64
-	// doomed requests costs one pass over the CSR, where 64 failing probes
-	// would each scan their whole reachable cone. The policy is per shard
-	// because rejects are often local — a fault cluster that dooms one
-	// input range's requests says nothing about the other shards — so a
-	// global rate either over-sweeps healthy shards or starves the sick
-	// one. A shard that served no requests keeps its previous state. Under
-	// light load the sweep stays out of the way everywhere. Engagement is
-	// a pure function of the served stream (the partition is by input
-	// terminal), so decisions remain deterministic — and the sweep itself
-	// is decision-neutral regardless.
-	PrefilterAuto PrefilterMode = iota
-	// PrefilterOff never sweeps; every request is probed.
-	PrefilterOff
-	// PrefilterOn sweeps every batch.
-	PrefilterOn
 )
 
 // ShardedStats counts, cumulatively, how batches were served; it is the
@@ -103,13 +73,15 @@ type ShardedStats struct {
 	// that had a speculative path invalidated (the rest had none).
 	FastPath, Fallbacks, Conflicts int64
 
-	// Reject breakdown: endpoints busy/unusable at snapshot, prefilter
-	// lane-sweep verdicts, failed snapshot probes, and commit-time rejects
-	// (endpoint taken this batch, or fallback probe found nothing).
-	EndpointRejects, PrefilterRejects, ProbeRejects, CommitRejects int64
+	// Reject breakdown: endpoints busy/unusable at snapshot, failed
+	// snapshot probes, and commit-time rejects (endpoint taken this batch,
+	// or fallback probe found nothing).
+	EndpointRejects, ProbeRejects, CommitRejects int64
 
-	// PrefilterSweeps counts lane sweeps run (≤64 lanes each).
-	PrefilterSweeps int64
+	// PrefilterRejects and PrefilterSweeps are always 0: the engine has no
+	// prefilter (the output-reachability guide is its only pruning). They
+	// are kept for the benchmark harness, which still reads them.
+	PrefilterRejects, PrefilterSweeps int64
 
 	// ParallelBatches counts batches whose phases ran on the persistent
 	// worker goroutines (batch large enough for the handoff to pay);
@@ -118,14 +90,6 @@ type ShardedStats struct {
 	// scheduling observability only — decisions and paths never depend on
 	// which path served a batch.
 	ParallelBatches, DisjointCommits int64
-
-	// Adaptive-policy transitions: a shard's observed reject share crossed
-	// the engage threshold (Engages) or fell back under it (Disengages).
-	// The state machine tracks in every mode — so a later switch to
-	// PrefilterAuto acts on fresh evidence — but only PrefilterAuto turns
-	// an engaged shard into actual sweeps. Engages-Disengages is the
-	// number of shards currently engaged.
-	PrefilterEngages, PrefilterDisengages int64
 }
 
 // request flags written in phase A (per batch slot). Both reject flags
@@ -133,7 +97,7 @@ type ShardedStats struct {
 // the sequential router rejects these requests too.
 const (
 	flagNone uint8 = iota
-	// flagRejected: no idle path at the snapshot (prefilter or probe).
+	// flagRejected: the snapshot probe found no idle path.
 	flagRejected
 	// flagRejectedEndpoint: an endpoint was busy or unusable, so the
 	// request was never probed (Result.Attempts stays 0).
@@ -154,22 +118,15 @@ type probeScratch struct {
 }
 
 // shard is one partition worker: the requests routed here are those whose
-// input terminal maps to this shard, and idx/scratch/feas are reused
-// across batches (the montecarlo.BlockStarter per-worker pattern).
+// input terminal maps to this shard, and idx/scratch are reused across
+// batches (the montecarlo.BlockStarter per-worker pattern).
 type shard struct {
-	idx  []int32 // request indices of this batch owned by this shard
-	surv []int32 // endpoint/prefilter survivors scratch
-	sc   probeScratch
-	fp   *lanePass // lazily built word-parallel feasibility scratch
-
-	// engaged is this shard's adaptive-prefilter state (PrefilterAuto):
-	// sweep while the shard's own reject share of its previous batch was
-	// ≥ 1/16. Updated after each commit phase from the final decisions.
-	engaged bool
+	idx []int32 // request indices of this batch owned by this shard
+	sc  probeScratch
 
 	// per-batch counters, folded into ShardedStats after the join so phase
 	// A needs no atomics.
-	endpointRejects, prefilterRejects, probeRejects, sweeps int64
+	endpointRejects, probeRejects int64
 }
 
 // specEntry is a request's phase-A outcome: the speculative path and the
@@ -199,10 +156,6 @@ type ShardedEngine struct {
 	claims   []atomic.Int32
 	vertexOK []bool
 	allowed  []uint8
-
-	// Prefilter selects the feasibility-sweep policy (default
-	// PrefilterAuto). It may be changed between batches.
-	Prefilter PrefilterMode
 
 	shards []*shard
 
@@ -263,9 +216,9 @@ type ShardedEngine struct {
 	guideLimit int
 
 	// lv is the graph's topological leveling (graph.Levels), the iteration
-	// contract behind the feasibility sweep and the guide rebuild. nil only
-	// for cyclic graphs — the cycle-safe fallback: probes still run (DFS
-	// needs no leveling), but the prefilter and guide stay off.
+	// contract behind the guide rebuild. nil only for cyclic graphs — the
+	// cycle-safe fallback: probes still run (DFS needs no leveling), but
+	// the guide stays off.
 	lv *graph.Levels
 
 	stats ShardedStats
@@ -464,7 +417,7 @@ func (se *ShardedEngine) fanOut(kind uint8, reqs []Request, res []Result, n int)
 }
 
 // ShardedStats returns the cumulative engine-specific serving counters
-// (fast-path/fallback split, reject breakdown, prefilter activity).
+// (fast-path/fallback split, reject breakdown, scheduling).
 func (se *ShardedEngine) ShardedStats() ShardedStats { return se.stats }
 
 // Stats returns the engine-neutral serving counters (the Engine seam);
@@ -709,8 +662,7 @@ func (se *ShardedEngine) ServeBatch(reqs []Request, res []Result) []Result {
 	// Batches big enough to pay for the handoff wake the persistent
 	// workers (one task per shard beyond the caller's own); everything a
 	// worker needs travels in the task struct, so the fan-out performs no
-	// allocation. Each shard decides its own sweep from its adaptive state
-	// (see PrefilterAuto).
+	// allocation.
 	parallel := S > 1 && len(reqs) >= parallelMinPerShard*S
 	if parallel {
 		se.ensureWorkers()
@@ -728,10 +680,8 @@ func (se *ShardedEngine) ServeBatch(reqs []Request, res []Result) []Result {
 	}
 	for _, sh := range se.shards {
 		se.stats.EndpointRejects += sh.endpointRejects
-		se.stats.PrefilterRejects += sh.prefilterRejects
 		se.stats.ProbeRejects += sh.probeRejects
-		se.stats.PrefilterSweeps += sh.sweeps
-		sh.endpointRejects, sh.prefilterRejects, sh.probeRejects, sh.sweeps = 0, 0, 0, 0
+		sh.endpointRejects, sh.probeRejects = 0, 0
 	}
 
 	// Phase B: commit with sequential-walk semantics. On parallel batches
@@ -746,29 +696,6 @@ func (se *ShardedEngine) ServeBatch(reqs []Request, res []Result) []Result {
 		first = se.commitDisjoint(reqs, res)
 	}
 	se.commitOrdered(reqs, res, first)
-
-	// Adaptive prefilter: each shard re-decides from its own final reject
-	// share (engage at ≥1/16); shards that served nothing keep their state.
-	for _, sh := range se.shards {
-		if len(sh.idx) == 0 {
-			continue
-		}
-		rej := 0
-		for _, ri := range sh.idx {
-			if res[ri].Path == nil {
-				rej++
-			}
-		}
-		engage := rej*16 >= len(sh.idx)
-		if engage != sh.engaged {
-			if engage {
-				se.stats.PrefilterEngages++
-			} else {
-				se.stats.PrefilterDisengages++
-			}
-			sh.engaged = engage
-		}
-	}
 	return res
 }
 
@@ -1021,14 +948,10 @@ func (se *ShardedEngine) bumpBatchEpoch() {
 	}
 }
 
-// speculate is phase A for one shard: screen endpoints, optionally run the
-// word-parallel feasibility sweep (per the shard's own policy state), then
+// speculate is phase A for one shard: screen each request's endpoints, then
 // probe the survivors against the snapshot, recording each probe's visit
 // trace for commit validation.
 func (sh *shard) speculate(se *ShardedEngine, reqs []Request) {
-	sweep := se.Prefilter == PrefilterOn ||
-		(se.Prefilter == PrefilterAuto && sh.engaged)
-	live := sh.surv[:0]
 	claims := se.claims
 	for _, ri := range sh.idx {
 		rq := reqs[ri]
@@ -1039,40 +962,15 @@ func (sh *shard) speculate(se *ShardedEngine, reqs []Request) {
 			sh.endpointRejects++
 			continue
 		}
-		se.flags[ri] = flagNone
-		live = append(live, ri)
-	}
-	if sweep && se.lv != nil && len(live) > 0 {
-		if sh.fp == nil {
-			sh.fp = newLanePass(se.g)
-		}
-		kept := live[:0]
-		for base := 0; base < len(live); base += laneWidth {
-			group := live[base:min(base+laneWidth, len(live))]
-			feas := sh.fp.sweep(se, reqs, group)
-			sh.sweeps++
-			for l, ri := range group {
-				if feas>>uint(l)&1 == 0 {
-					se.flags[ri] = flagRejected
-					sh.prefilterRejects++
-					continue
-				}
-				kept = append(kept, ri)
-			}
-		}
-		live = kept
-	}
-	for _, ri := range live {
-		rq := reqs[ri]
 		path, trace := se.probeRecorded(&sh.sc, rq.In, rq.Out)
 		if path == nil {
 			se.flags[ri] = flagRejected
 			sh.probeRejects++
 			continue
 		}
+		se.flags[ri] = flagNone
 		se.spec[ri] = specEntry{path: path, trace: trace}
 	}
-	sh.surv = live[:0]
 }
 
 // probe runs the same greedy depth-first idle-path hunt as Router.Connect,

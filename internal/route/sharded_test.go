@@ -3,8 +3,8 @@ package route_test
 // Differential, invariance, and stress harnesses for route.ShardedEngine.
 // The engine's contract is strong: accept/reject decisions AND established
 // paths are bit-identical to a sequential Router processing the same
-// request stream in order, for every shard count, batch size, and
-// prefilter mode. These tests drive identical netsim.Workload churn
+// request stream in order, for every shard count and batch size. These
+// tests drive identical netsim.Workload churn
 // streams through both engines and compare step by step.
 
 import (
@@ -95,30 +95,39 @@ func (d *churnDiff) round(batch, releases int) {
 
 // TestShardedMatchesSequentialChurn locks the headline contract under
 // continuous churn (no resets): decisions and paths bit-identical to the
-// sequential router across fault rates, shard counts, and prefilter modes.
+// sequential router across fault rates, shard counts, and output-guide
+// budgets. The guide is the engine's one pruning mechanism, so at one
+// shard count the engine also runs with it disabled (off: the unguided
+// probes every network past the default budget serves with) and with the
+// smallest budget that still builds it (on); auto is the default budget.
 func TestShardedMatchesSequentialChurn(t *testing.T) {
-	modes := []struct {
-		name string
-		pf   route.PrefilterMode
-	}{{"auto", route.PrefilterAuto}, {"on", route.PrefilterOn}, {"off", route.PrefilterOff}}
 	for _, nu := range []int{1, 2} {
 		nw := buildNet(t, nu)
+		guides := []struct {
+			name  string
+			limit int // SetGuideLimit argument; -1 keeps the default
+		}{{"auto", -1}, {"on", (len(nw.Outputs()) + 63) / 64}, {"off", 0}}
 		for _, eps := range []float64{0, 0.01, 0.05} {
 			m := repairedMasks(t, nw, eps, uint64(0x5A0+nu))
 			for _, shards := range []int{1, 2, 4, 8} {
-				for _, md := range modes {
-					if md.pf != route.PrefilterAuto && shards != 4 {
-						continue // modes × one shard count keeps runtime sane
+				for _, gd := range guides {
+					if gd.limit >= 0 && shards != 4 {
+						continue // budgets × one shard count keeps runtime sane
 					}
-					name := fmt.Sprintf("nu=%d/eps=%g/shards=%d/%s", nu, eps, shards, md.name)
+					name := fmt.Sprintf("nu=%d/eps=%g/shards=%d/%s", nu, eps, shards, gd.name)
 					t.Run(name, func(t *testing.T) {
 						rt := route.NewRouter(nw.G)
 						rt.EnablePathReuse()
 						se := route.NewShardedEngine(nw.G, shards)
-						se.Prefilter = md.pf
+						if gd.limit >= 0 {
+							se.SetGuideLimit(gd.limit)
+						}
 						if eps > 0 {
 							rt.SetMasksShared(m.VertexOK, m.EdgeOK, m.OutAllowed)
 							se.SetMasksShared(m.VertexOK, m.EdgeOK, m.OutAllowed)
+						}
+						if words, _ := se.GuideWords(); (words == nil) != (gd.limit == 0) {
+							t.Fatalf("guide built=%v under budget %d", words != nil, gd.limit)
 						}
 						d := &churnDiff{t: t, rt: rt, se: se,
 							wl: netsim.NewWorkload(nw.Inputs(), nw.Outputs(), 0xC0FFEE+uint64(shards))}
@@ -141,10 +150,9 @@ func TestShardedMatchesSequentialChurn(t *testing.T) {
 
 // runInvariance drives one engine through a fixed saturation-churn stream
 // and returns the flattened decision+path trace.
-func runInvariance(t *testing.T, nw *core.Network, m core.Masks, shards int, pf route.PrefilterMode) (string, route.ShardedStats) {
+func runInvariance(t *testing.T, nw *core.Network, m core.Masks, shards int) (string, route.ShardedStats) {
 	t.Helper()
 	se := route.NewShardedEngine(nw.G, shards)
-	se.Prefilter = pf
 	se.SetMasksShared(m.VertexOK, m.EdgeOK, m.OutAllowed)
 	wl := netsim.NewWorkload(nw.Inputs(), nw.Outputs(), 0xABCD)
 	var res []route.Result
@@ -173,31 +181,29 @@ func runInvariance(t *testing.T, nw *core.Network, m core.Masks, shards int, pf 
 	return trace, se.ShardedStats()
 }
 
-func TestShardedInvarianceAcrossShardsAndPrefilter(t *testing.T) {
+func TestShardedInvarianceAcrossShards(t *testing.T) {
 	nw := buildNet(t, 2)
 	m := repairedMasks(t, nw, 0.04, 0x151)
-	ref, refStats := runInvariance(t, nw, m, 1, route.PrefilterOff)
+	ref, refStats := runInvariance(t, nw, m, 1)
 	if refStats.Accepted == 0 {
 		t.Fatal("reference stream accepted nothing")
 	}
-	sawPrefilterRejects := false
+	sawProbeRejects := refStats.ProbeRejects > 0
 	sawFallbacks := refStats.Fallbacks > 0
 	for _, shards := range []int{1, 2, 3, 4, 8} {
-		for _, pf := range []route.PrefilterMode{route.PrefilterAuto, route.PrefilterOff, route.PrefilterOn} {
-			got, stats := runInvariance(t, nw, m, shards, pf)
-			if got != ref {
-				t.Fatalf("shards=%d pf=%d: decision+path stream diverged from reference", shards, pf)
-			}
-			if stats.PrefilterRejects > 0 {
-				sawPrefilterRejects = true
-			}
-			if stats.Fallbacks > 0 {
-				sawFallbacks = true
-			}
+		got, stats := runInvariance(t, nw, m, shards)
+		if got != ref {
+			t.Fatalf("shards=%d: decision+path stream diverged from reference", shards)
+		}
+		if stats.ProbeRejects > 0 {
+			sawProbeRejects = true
+		}
+		if stats.Fallbacks > 0 {
+			sawFallbacks = true
 		}
 	}
-	if !sawPrefilterRejects {
-		t.Error("prefilter never rejected anything; its exactness was not exercised")
+	if !sawProbeRejects {
+		t.Error("no snapshot probe ever failed; network-blocking rejects were not exercised")
 	}
 	if !sawFallbacks {
 		t.Error("commit-time fallback never ran; conflict path was not exercised")
@@ -282,7 +288,6 @@ func TestShardedFastPathDominatesLightChurn(t *testing.T) {
 func TestShardedServeBatchAllocFree(t *testing.T) {
 	nw := buildNet(t, 2)
 	se := route.NewShardedEngine(nw.G, 4)
-	se.Prefilter = route.PrefilterOn // warm the lane-pass scratch too
 	n := len(nw.Inputs())
 	perm := rng.New(3).Perm(n)
 	reqs := make([]route.Request, n)
@@ -378,7 +383,7 @@ func TestShardedSetMasksSharedReleases(t *testing.T) {
 
 // FuzzShardedVsSequential fuzzes fault patterns and batch splits on the
 // n=16 network, asserting decision AND path equality between the
-// sequential router and a 2-shard engine with the prefilter forced on.
+// sequential router and a 2-shard engine.
 // GOMAXPROCS is pinned >1 and full-width batches clear the 2-shard
 // fan-out threshold, so the fuzzer also drives the persistent workers and
 // the disjoint parallel commit, not just the serial walk.
@@ -397,7 +402,6 @@ func FuzzShardedVsSequential(f *testing.F) {
 		rt.EnablePathReuse()
 		rt.SetMasksShared(m.VertexOK, m.EdgeOK, m.OutAllowed)
 		se := route.NewShardedEngine(nw.G, 2)
-		se.Prefilter = route.PrefilterOn
 		se.SetMasksShared(m.VertexOK, m.EdgeOK, m.OutAllowed)
 		wl := netsim.NewWorkload(nw.Inputs(), nw.Outputs(), seed^0x9E3779B97F4A7C15)
 		batch := int(batchRaw%16) + 1

@@ -1,9 +1,8 @@
 package route_test
 
-// Direct coverage for ShardedStats: the counter identities, the fast-path/
-// fallback split, and the adaptive per-shard prefilter's engage/disengage
-// transitions — previously exercised only incidentally by the differential
-// harnesses.
+// Direct coverage for ShardedStats: the counter identities and the
+// fast-path/fallback split — previously exercised only incidentally by the
+// differential harnesses.
 
 import (
 	"testing"
@@ -29,8 +28,9 @@ func statsIdentities(t *testing.T, st route.ShardedStats) {
 	if st.Conflicts > st.Fallbacks+st.CommitRejects {
 		t.Errorf("conflicts %d > fallbacks %d + commit rejects %d", st.Conflicts, st.Fallbacks, st.CommitRejects)
 	}
-	if st.PrefilterDisengages > st.PrefilterEngages {
-		t.Errorf("disengages %d > engages %d", st.PrefilterDisengages, st.PrefilterEngages)
+	// The prefilter counters are vestigial: nothing sweeps, so both stay 0.
+	if st.PrefilterRejects != 0 || st.PrefilterSweeps != 0 {
+		t.Errorf("prefilter counters nonzero: rejects %d sweeps %d", st.PrefilterRejects, st.PrefilterSweeps)
 	}
 }
 
@@ -48,42 +48,34 @@ func engineStatsMatch(t *testing.T, se *route.ShardedEngine) {
 }
 
 // TestShardedStatsIdentitiesUnderChurn drives faulted churn (endpoint,
-// prefilter, probe, and commit rejects all possible) and checks every
-// counter identity plus the seam view.
+// probe, and commit rejects all possible) and checks every counter
+// identity plus the seam view.
 func TestShardedStatsIdentitiesUnderChurn(t *testing.T) {
 	nw := buildNet(t, 2)
 	m := repairedMasks(t, nw, 0.04, 0x151)
-	for _, pf := range []route.PrefilterMode{route.PrefilterAuto, route.PrefilterOn, route.PrefilterOff} {
-		se := route.NewShardedEngine(nw.G, 3)
-		se.Prefilter = pf
-		se.SetMasksShared(m.VertexOK, m.EdgeOK, m.OutAllowed)
-		wl := netsim.NewWorkload(nw.Inputs(), nw.Outputs(), 0x57A7)
-		var res []route.Result
-		n := len(nw.Inputs())
-		for round := 0; round < 40; round++ {
-			reqs := wl.NextConnects(n)
-			res = se.ServeBatch(reqs, res)
-			wl.Commit(res[:len(reqs)])
-			for _, rel := range wl.NextReleases(n / 3) {
-				if err := se.Disconnect(rel.In, rel.Out); err != nil {
-					t.Fatal(err)
-				}
+	se := route.NewShardedEngine(nw.G, 3)
+	se.SetMasksShared(m.VertexOK, m.EdgeOK, m.OutAllowed)
+	wl := netsim.NewWorkload(nw.Inputs(), nw.Outputs(), 0x57A7)
+	var res []route.Result
+	n := len(nw.Inputs())
+	for round := 0; round < 40; round++ {
+		reqs := wl.NextConnects(n)
+		res = se.ServeBatch(reqs, res)
+		wl.Commit(res[:len(reqs)])
+		for _, rel := range wl.NextReleases(n / 3) {
+			if err := se.Disconnect(rel.In, rel.Out); err != nil {
+				t.Fatal(err)
 			}
 		}
-		st := se.ShardedStats()
-		statsIdentities(t, st)
-		engineStatsMatch(t, se)
-		if st.Accepted == 0 || st.Requests == 0 {
-			t.Fatalf("pf=%d: degenerate stream (requests=%d accepted=%d)", pf, st.Requests, st.Accepted)
-		}
-		if pf == route.PrefilterOn && st.PrefilterSweeps == 0 {
-			t.Error("PrefilterOn never swept")
-		}
-		// Engage/disengage state keeps tracking in every mode (so a later
-		// switch to Auto acts on fresh evidence), but Off must never sweep.
-		if pf == route.PrefilterOff && (st.PrefilterSweeps != 0 || st.PrefilterRejects != 0) {
-			t.Errorf("PrefilterOff swept: %+v", st)
-		}
+	}
+	st := se.ShardedStats()
+	statsIdentities(t, st)
+	engineStatsMatch(t, se)
+	if st.Accepted == 0 || st.Requests == 0 {
+		t.Fatalf("degenerate stream (requests=%d accepted=%d)", st.Requests, st.Accepted)
+	}
+	if st.ProbeRejects == 0 {
+		t.Error("faulted churn produced no probe rejects; the blocking path was not exercised")
 	}
 }
 
@@ -112,112 +104,4 @@ func TestShardedFallbackCounters(t *testing.T) {
 	if st.Conflicts == 0 {
 		t.Error("saturating batches produced no invalidated speculative paths")
 	}
-}
-
-// TestAdaptivePrefilterEngageDisengage: a shard must engage after a batch
-// whose reject share is ≥ 1/16, sweep from the following batch on, and
-// disengage again after the stream turns healthy.
-func TestAdaptivePrefilterEngageDisengage(t *testing.T) {
-	nw := buildNet(t, 2)
-	bad := repairedMasks(t, nw, 0.04, 0x151) // known to produce path rejects
-	good := repairedMasks(t, nw, 0, 1)       // fault-free
-	se := route.NewShardedEngine(nw.G, 1)
-	se.Prefilter = route.PrefilterAuto
-	se.SetMasksShared(bad.VertexOK, bad.EdgeOK, bad.OutAllowed)
-
-	wl := netsim.NewWorkload(nw.Inputs(), nw.Outputs(), 0xBAD)
-	var res []route.Result
-	n := len(nw.Inputs())
-	for round := 0; round < 25; round++ {
-		reqs := wl.NextConnects(n)
-		res = se.ServeBatch(reqs, res)
-		wl.Commit(res[:len(reqs)])
-		for _, rel := range wl.NextReleases(n / 2) {
-			if err := se.Disconnect(rel.In, rel.Out); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	st := se.ShardedStats()
-	if st.PrefilterEngages == 0 {
-		t.Fatal("faulted stream never engaged the adaptive prefilter")
-	}
-	if st.PrefilterSweeps == 0 {
-		t.Fatal("engaged shard never swept")
-	}
-
-	// Healthy masks: everything connects, the shard must disengage.
-	se.SetMasksShared(good.VertexOK, good.EdgeOK, good.OutAllowed)
-	wl2 := netsim.NewWorkload(nw.Inputs(), nw.Outputs(), 0x600D)
-	for round := 0; round < 6; round++ {
-		reqs := wl2.NextConnects(4)
-		res = se.ServeBatch(reqs, res)
-		wl2.Commit(res[:len(reqs)])
-		for _, rel := range wl2.NextReleases(4) {
-			if err := se.Disconnect(rel.In, rel.Out); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	st = se.ShardedStats()
-	if st.PrefilterDisengages == 0 {
-		t.Fatal("healthy stream never disengaged the adaptive prefilter")
-	}
-	statsIdentities(t, st)
-}
-
-// TestAdaptivePrefilterIsPerShard: rejects concentrated on one shard's
-// inputs must engage that shard alone — the locality the per-shard policy
-// exists for.
-func TestAdaptivePrefilterIsPerShard(t *testing.T) {
-	nw := buildNet(t, 2)
-	const S = 2
-	se := route.NewShardedEngine(nw.G, S)
-	se.Prefilter = route.PrefilterAuto
-
-	// Partition inputs by the engine's own shard function (in % S) and
-	// make every shard-0 input busy with a live circuit.
-	var shard0, shard1 []int32
-	for _, in := range nw.Inputs() {
-		if int(in)%S == 0 {
-			shard0 = append(shard0, in)
-		} else {
-			shard1 = append(shard1, in)
-		}
-	}
-	if len(shard0) == 0 || len(shard1) == 0 {
-		t.Skip("input IDs all map to one shard; locality not testable here")
-	}
-	outs := nw.Outputs()
-	var reqs []route.Request
-	var res []route.Result
-	for i, in := range shard0 {
-		reqs = append(reqs, route.Request{In: in, Out: outs[i]})
-	}
-	res = se.ServeBatch(reqs, res)
-	for i := range res {
-		if res[i].Path == nil {
-			t.Fatalf("fault-free setup connect %d rejected", i)
-		}
-	}
-
-	// Mixed batch: shard-0 requests hit busy inputs (all rejected), shard-1
-	// requests connect to untouched outputs (all accepted).
-	reqs = reqs[:0]
-	for i, in := range shard0 {
-		reqs = append(reqs, route.Request{In: in, Out: outs[(i+len(shard0))%len(outs)]})
-	}
-	free := outs[len(shard0):]
-	for i, in := range shard1 {
-		if i >= len(free) {
-			break
-		}
-		reqs = append(reqs, route.Request{In: in, Out: free[i]})
-	}
-	res = se.ServeBatch(reqs, res)
-	st := se.ShardedStats()
-	if st.PrefilterEngages != 1 {
-		t.Fatalf("want exactly the overloaded shard engaged, got %d engage transitions", st.PrefilterEngages)
-	}
-	statsIdentities(t, st)
 }
