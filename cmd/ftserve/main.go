@@ -14,7 +14,7 @@
 //
 // Usage:
 //
-//	ftserve -engine=sharded -shards=4 -nu=2 -eps=0.002 -seed=7 \
+//	ftserve -engine=sharded -nu=2 -eps=0.002 -seed=7 \
 //	        -rate=8 -hold=4 -duration=200 -pattern=hotspot -report=50
 package main
 
@@ -37,7 +37,6 @@ import (
 
 type config struct {
 	engine string
-	shards int
 
 	nu        int
 	eps       float64
@@ -61,7 +60,6 @@ func parseFlags(args []string) (config, error) {
 	var c config
 	fs := flag.NewFlagSet("ftserve", flag.ContinueOnError)
 	fs.StringVar(&c.engine, "engine", "sharded", "engine: router|sharded")
-	fs.IntVar(&c.shards, "shards", 4, "shard count (engine=sharded)")
 	fs.IntVar(&c.nu, "nu", 2, "ν (n = 4^ν terminals)")
 	fs.Float64Var(&c.eps, "eps", 0, "switch failure rate ε; > 0 serves on the repaired faulty network")
 	fs.Uint64Var(&c.faultSeed, "faultseed", 1, "fault-draw seed (eps > 0)")
@@ -108,9 +106,9 @@ func buildEngine(c config, nw *core.Network) (route.Engine, error) {
 		return rt, nil
 	case "sharded":
 		if inst != nil {
-			return route.NewRepairedShardedEngine(inst, c.shards), nil
+			return route.NewRepairedShardedEngine(inst, 1), nil
 		}
-		return route.NewShardedEngine(nw.G, c.shards), nil
+		return route.NewShardedEngine(nw.G, 1), nil
 	default:
 		return nil, fmt.Errorf("unknown engine %q (want router|sharded)", c.engine)
 	}

@@ -19,7 +19,7 @@ func baseConfig() config {
 func TestRunDeterministic(t *testing.T) {
 	cases := map[string]func(*config){
 		"router":        func(c *config) { c.engine = "router" },
-		"sharded":       func(c *config) { c.engine = "sharded"; c.shards = 4 },
+		"sharded":       func(c *config) { c.engine = "sharded" },
 		"router-faulty": func(c *config) { c.engine = "router"; c.eps = 0.002 },
 		"faulty":        func(c *config) { c.eps = 0.002 },
 		"mmpp-hotspot":  func(c *config) { c.arrival = "mmpp"; c.pattern = "hotspot" },

@@ -23,18 +23,13 @@
 //     through their same-package callees.
 //   - seamcontract: edge admission inside route/core goes through
 //     graph.SlotAdmits or the shared traversal bytes, never by indexing
-//     fault masks directly; the atomic claim array is written only by
-//     functions annotated //ftcsn:claimowner.
+//     fault masks directly.
 //
 // # Annotation grammar
 //
 //	//ftcsn:hotpath [prose]
 //	    on a function's doc comment: the function (and its same-package
 //	    static callees) must be allocation-free; checked by hotpath.
-//
-//	//ftcsn:claimowner [prose]
-//	    on a function's doc comment: this function is an audited writer
-//	    of the atomic claim array; checked by seamcontract.
 //
 //	//ftlint:ignore <analyzer> <reason>
 //	    suppresses <analyzer>'s findings on the comment's line and the
@@ -104,7 +99,7 @@ func Analyzers() []*Analyzer {
 // means every package. This is the single source of the driver policy: the
 // determinism contract covers the packages whose outputs reach committed
 // tables or engine decisions, the seam contract covers the two packages
-// that share the admission/claim seam, and hotpath is annotation-driven so
+// that share the admission seam, and hotpath is annotation-driven so
 // it runs everywhere.
 var scopes = map[string][]string{
 	"determinism": {
@@ -281,7 +276,7 @@ func collectSuppressions(pkg *Package, analyzers []*Analyzer) (*suppressionSet, 
 }
 
 // funcDirective reports whether fn's doc comment carries the //ftcsn:<name>
-// directive (e.g. "hotpath", "claimowner").
+// directive (e.g. "hotpath").
 func funcDirective(fn *ast.FuncDecl, name string) bool {
 	if fn.Doc == nil {
 		return false

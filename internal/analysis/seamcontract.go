@@ -6,37 +6,27 @@ import (
 	"strings"
 )
 
-// SeamContract machine-checks the admission/claim seam between the path
-// hunters (internal/route) and the evaluation core (internal/core), the
-// invariant PR 4 established by convention:
-//
-// Rule A — edge admission goes through graph.SlotAdmits or the shared
-// traversal bytes. Reading a fault mask directly — indexing a []bool
-// whose name marks it as a vertex/edge admission mask (vertexOK, edgeOK,
-// usable) or indexing a []fault.State — re-derives admission locally and
-// silently forks the rule the path hunters must share. Writes are the
+// SeamContract machine-checks the admission seam between the path hunters
+// (internal/route) and the evaluation core (internal/core), an invariant
+// first established by convention: edge admission goes through
+// graph.SlotAdmits or the shared traversal bytes. Reading a fault mask
+// directly — indexing a []bool whose name marks it as a vertex/edge
+// admission mask (vertexOK, edgeOK, usable) or indexing a []fault.State —
+// re-derives admission locally and silently forks the rule the path
+// hunters must share. Writes are the
 // mask maintainers' job and are exempt; the handful of audited readers
 // (the reference slow-path BFS, the incremental mask maintainer itself)
 // carry //ftlint:ignore seamcontract suppressions that double as the
 // reader registry.
-//
-// Rule B — the atomic claim array is written only by audited owners. Any
-// Store/Swap/CompareAndSwap/Add on an element of a slice named "claims"
-// (sync/atomic methods) inside a function not annotated
-// //ftcsn:claimowner is an error: unsanctioned claim writes are exactly
-// how speculate-then-commit engines corrupt disjointness.
 var SeamContract = &Analyzer{
 	Name: "seamcontract",
-	Doc:  "forbids direct fault-mask admission reads and unsanctioned claim-array writes in route/core",
+	Doc:  "forbids direct fault-mask admission reads in route/core",
 	Run:  runSeamContract,
 }
 
 // maskNames are the identifier names (lowercased) that mark a []bool as
 // an admission mask.
 var maskNames = map[string]bool{"vertexok": true, "edgeok": true, "usable": true}
-
-// atomicWrites are the sync/atomic methods that mutate.
-var atomicWrites = map[string]bool{"Store": true, "Swap": true, "CompareAndSwap": true, "Add": true}
 
 func runSeamContract(pass *Pass) error {
 	for _, f := range pass.Files {
@@ -45,8 +35,6 @@ func runSeamContract(pass *Pass) error {
 			if !ok || fn.Body == nil {
 				continue
 			}
-			claimOwner := funcDirective(fn, "claimowner")
-
 			// Index expressions on the left of an assignment are writes,
 			// not admission reads; pre-order traversal sees the
 			// AssignStmt before its operands, so collect them as we go.
@@ -60,10 +48,6 @@ func runSeamContract(pass *Pass) error {
 				case *ast.IndexExpr:
 					if !writes[n] {
 						checkMaskRead(pass, n)
-					}
-				case *ast.CallExpr:
-					if !claimOwner {
-						checkClaimWrite(pass, n)
 					}
 				}
 				return true
@@ -102,36 +86,8 @@ func checkMaskRead(pass *Pass, ix *ast.IndexExpr) {
 	}
 }
 
-// checkClaimWrite flags mutating sync/atomic calls on elements of a slice
-// named "claims" outside //ftcsn:claimowner functions.
-func checkClaimWrite(pass *Pass, call *ast.CallExpr) {
-	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || !atomicWrites[sel.Sel.Name] {
-		return
-	}
-	obj, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
-	if !ok || obj.Pkg() == nil || obj.Pkg().Path() != "sync/atomic" {
-		return
-	}
-	recv := unparen(sel.X)
-	// The receiver is an element of the claim array either as claims[v]
-	// or via a pointer derived from &claims[v].
-	if u, ok := recv.(*ast.UnaryExpr); ok && u.Op.String() == "&" {
-		recv = unparen(u.X)
-	}
-	ix, ok := recv.(*ast.IndexExpr)
-	if !ok {
-		return
-	}
-	if strings.ToLower(baseName(ix.X)) == "claims" {
-		pass.Reportf(call.Pos(),
-			"%s on the claim array outside a //ftcsn:claimowner function: claim writes go through the commit/release helpers",
-			sel.Sel.Name)
-	}
-}
-
 // baseName returns the last identifier of an expression chain:
-// cr.claims → "claims", vertexOK → "vertexOK".
+// rt.vertexOK → "vertexOK", usable → "usable".
 func baseName(e ast.Expr) string {
 	switch e := unparen(e).(type) {
 	case *ast.Ident:

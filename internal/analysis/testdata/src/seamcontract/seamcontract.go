@@ -1,20 +1,14 @@
 // Package seamcontract is the ftlint fixture for the seamcontract
-// analyzer: direct admission-mask reads and unsanctioned claim writes are
-// seeded violations; the traversal-byte seam, mask writes, claim reads,
-// and annotated owners must stay silent.
+// analyzer: direct admission-mask reads are seeded violations; the
+// traversal-byte seam, mask writes, and audited readers must stay silent.
 package seamcontract
 
-import (
-	"sync/atomic"
-
-	"ftcsn/internal/fault"
-)
+import "ftcsn/internal/fault"
 
 type router struct {
 	vertexOK []bool
 	edgeOK   []bool
 	visited  []bool
-	claims   []atomic.Int32
 	allowed  []uint8
 }
 
@@ -45,25 +39,4 @@ func (r *router) MaskWrite(v int32) {
 func (r *router) AuditedRead(v int32) bool {
 	//ftlint:ignore seamcontract fixture: audited reader, proves suppression is honored
 	return r.vertexOK[v]
-}
-
-func (r *router) BadClaimWrite(v int32) {
-	r.claims[v].Store(1) // want "outside a //ftcsn:claimowner"
-}
-
-func (r *router) BadClaimCAS(v int32) bool {
-	return r.claims[v].CompareAndSwap(0, 1) // want "outside a //ftcsn:claimowner"
-}
-
-//ftcsn:claimowner fixture: the sanctioned claim helper
-func (r *router) GoodClaim(v int32) bool {
-	if !r.claims[v].CompareAndSwap(0, 1) {
-		return false
-	}
-	r.claims[v].Store(1)
-	return true
-}
-
-func (r *router) ClaimRead(v int32) int32 {
-	return r.claims[v].Load() // reads are free: Load is not a mutator
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"ftcsn/internal/fault"
@@ -13,24 +12,21 @@ import (
 
 // This file is the correctness gate for the batch-shaped churn seam: the
 // batched pipeline driving its churn through a route.Engine (including
-// the sharded speculate-then-commit engine at several shard counts) must
-// produce bit-identical per-trial outcomes to the legacy per-trial engine,
-// whose churn is the per-op ChurnWith loop. Families × ε × shard counts,
-// and a fuzz harness over op streams.
+// the production ShardedEngine) must produce bit-identical per-trial
+// outcomes to the legacy per-trial engine, whose churn is the per-op
+// ChurnWith loop. Families × ε, and a fuzz harness over op streams.
 
 // TestDifferentialShardedChurnVsPerOp runs the batched pipeline with
 // SetChurnEngine(ShardedEngine) against per-trial EvaluateInto reference
-// outcomes, across the structural families, fault rates spanning "no
-// failures" to "frequent rejects", and shard counts.
+// outcomes, across the structural families and fault rates spanning "no
+// failures" to "frequent rejects".
 func TestDifferentialShardedChurnVsPerOp(t *testing.T) {
-	pinProcs(t, 4)
 	const (
 		trials   = 30
 		churnOps = 80
 		seed     = uint64(0xC4A2)
 	)
 	epss := []float64{0.0005, 0.02, 0.08}
-	shardGrid := []int{1, 2, 3}
 
 	for name, nw := range diffFamilies(t) {
 		for _, eps := range epss {
@@ -44,20 +40,18 @@ func TestDifferentialShardedChurnVsPerOp(t *testing.T) {
 				lev.EvaluateInto(&want[i], m, &r, churnOps)
 			}
 
-			for _, shards := range shardGrid {
-				label := fmt.Sprintf("%s/eps=%v/shards=%d", name, eps, shards)
-				ev := NewEvaluator(nw)
-				ev.SetChurnEngine(route.NewShardedEngine(nw.G, shards))
-				var out TrialOutcome
-				for first := 0; first < trials; first += 8 {
-					n := min(8, trials-first)
-					ev.StartBlock(m, seed, uint64(first), n)
-					for j := 0; j < n; j++ {
-						ev.EvaluateNextInto(&out, churnOps)
-						if out != want[first+j] {
-							t.Fatalf("%s: trial %d diverged:\nsharded %+v\nlegacy  %+v",
-								label, first+j, out, want[first+j])
-						}
+			label := fmt.Sprintf("%s/eps=%v", name, eps)
+			ev := NewEvaluator(nw)
+			ev.SetChurnEngine(route.NewShardedEngine(nw.G, 1))
+			var out TrialOutcome
+			for first := 0; first < trials; first += 8 {
+				n := min(8, trials-first)
+				ev.StartBlock(m, seed, uint64(first), n)
+				for j := 0; j < n; j++ {
+					ev.EvaluateNextInto(&out, churnOps)
+					if out != want[first+j] {
+						t.Fatalf("%s: trial %d diverged:\nsharded %+v\nlegacy  %+v",
+							label, first+j, out, want[first+j])
 					}
 				}
 			}
@@ -89,7 +83,7 @@ func TestDifferentialShardedChurnUnderHarness(t *testing.T) {
 		montecarlo.Config{Trials: trials, Workers: 3, Seed: seed, Block: 5},
 		func() *batchedDiffScratch {
 			ev := NewEvaluator(nw)
-			ev.SetChurnEngine(route.NewShardedEngine(nw.G, 4))
+			ev.SetChurnEngine(route.NewShardedEngine(nw.G, 1))
 			return &batchedDiffScratch{ev: ev, m: m, outs: got}
 		},
 		func(_ *rng.RNG, s *batchedDiffScratch, i uint64) {
@@ -107,7 +101,7 @@ func TestDifferentialShardedChurnUnderHarness(t *testing.T) {
 func TestEvaluatorShardedChurnAllocFree(t *testing.T) {
 	nw := buildNetwork(t, DefaultParams(2))
 	ev := NewEvaluator(nw)
-	ev.SetChurnEngine(route.NewShardedEngine(nw.G, 2))
+	ev.SetChurnEngine(route.NewShardedEngine(nw.G, 1))
 	m := fault.Symmetric(0.01)
 	var out TrialOutcome
 	const block = 16
@@ -128,19 +122,18 @@ func TestEvaluatorShardedChurnAllocFree(t *testing.T) {
 }
 
 // FuzzBatchChurnVsPerOp fuzzes the op-stream space: arbitrary (seed, ε,
-// ops, shards) tuples must keep the batch-shaped churn driver
-// bit-identical to the per-op reference through the full trial pipeline.
+// ops) tuples must keep the batch-shaped churn driver bit-identical to the
+// per-op reference through the full trial pipeline. The fourth byte is
+// unused; it keeps the corpus valid.
 func FuzzBatchChurnVsPerOp(f *testing.F) {
-	pinProcs(f, 4)
 	f.Add(uint64(1), uint16(0), uint8(40), uint8(1))
 	f.Add(uint64(2), uint16(800), uint8(90), uint8(2))
 	f.Add(uint64(99), uint16(2500), uint8(255), uint8(3))
 	nw := buildNetwork(f, Params{Nu: 1, Gamma: 0, M: 4, DQ: 2, Seed: 2})
-	f.Fuzz(func(t *testing.T, seed uint64, epsMil uint16, ops, shards uint8) {
+	f.Fuzz(func(t *testing.T, seed uint64, epsMil uint16, ops, _ uint8) {
 		eps := float64(epsMil%3000) / 10000.0 // 0 .. 0.3
 		m := fault.Symmetric(eps)
 		churnOps := int(ops)
-		S := int(shards%4) + 1
 
 		var want TrialOutcome
 		lev := NewEvaluator(nw)
@@ -149,13 +142,13 @@ func FuzzBatchChurnVsPerOp(f *testing.F) {
 		lev.EvaluateInto(&want, m, &r, churnOps)
 
 		ev := NewEvaluator(nw)
-		ev.SetChurnEngine(route.NewShardedEngine(nw.G, S))
+		ev.SetChurnEngine(route.NewShardedEngine(nw.G, 1))
 		ev.StartBlock(m, seed, 0, 1)
 		var got TrialOutcome
 		ev.EvaluateNextInto(&got, churnOps)
 		if got != want {
-			t.Fatalf("diverged (eps=%v ops=%d shards=%d):\nsharded %+v\nlegacy  %+v",
-				eps, churnOps, S, got, want)
+			t.Fatalf("diverged (eps=%v ops=%d):\nsharded %+v\nlegacy  %+v",
+				eps, churnOps, got, want)
 		}
 	})
 }
@@ -168,12 +161,4 @@ func buildNetwork(tb testing.TB, p Params) *Network {
 		tb.Fatal(err)
 	}
 	return nw
-}
-
-// pinProcs forces GOMAXPROCS=n for the test, so the sharded engine's
-// parallel phases genuinely interleave even when the package-default
-// GOMAXPROCS is 1 (busy CI runner, constrained container).
-func pinProcs(tb testing.TB, n int) {
-	old := runtime.GOMAXPROCS(n)
-	tb.Cleanup(func() { runtime.GOMAXPROCS(old) })
 }

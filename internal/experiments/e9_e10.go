@@ -58,28 +58,28 @@ func E9Routing(mode Mode) Result {
 	}
 	res.Tables = append(res.Tables, tab)
 
-	// Throughput shape: sequential router vs the sharded
-	// speculate-then-commit engine, saturating the network with a
-	// full permutation repeatedly. Quick mode — committed to EXPERIMENTS.md
-	// and regenerated bit-identically by the CI determinism gate — reports
-	// only the deterministic columns (established counts); wall-clock rates
-	// belong to the benchmark baseline (BENCH.json, BenchmarkShardedChurn)
-	// and appear here in Full mode only.
+	// Throughput shape: sequential router vs the guided production
+	// engine, saturating the network with a full permutation repeatedly.
+	// Quick mode — committed to EXPERIMENTS.md and regenerated
+	// bit-identically by the CI determinism gate — reports only the
+	// deterministic columns (established counts); wall-clock rates belong
+	// to the benchmark baseline (BENCH.json, BenchmarkShardedChurn) and
+	// appear here in Full mode only.
 	p := scaledParams(2)
 	nw, err := core.Build(p)
 	if err == nil {
 		full := mode == Full
 		var thr *stats.Table
 		if full {
-			thr = stats.NewTable("engine", "workers", "requests", "established", "req/s")
+			thr = stats.NewTable("engine", "requests", "established", "req/s")
 		} else {
-			thr = stats.NewTable("engine", "workers", "requests", "established")
+			thr = stats.NewTable("engine", "requests", "established")
 		}
-		addRow := func(engine string, workers, requests, established int, rate float64) {
+		addRow := func(engine string, requests, established int, rate float64) {
 			if full {
-				thr.AddRow(engine, workers, requests, established, rate)
+				thr.AddRow(engine, requests, established, rate)
 			} else {
-				thr.AddRow(engine, workers, requests, established)
+				thr.AddRow(engine, requests, established)
 			}
 		}
 		n := p.N()
@@ -108,41 +108,27 @@ func E9Routing(mode Mode) Result {
 			//ftlint:ignore determinism wall clock feeds only the req/s column, which prints in full mode only — never in the committed quick-mode tables
 			return done, time.Since(start).Seconds()
 		}
-		type engineRow struct {
-			name    string
-			workers int
-			eng     route.Engine
-		}
 		rt := route.NewRouter(nw.G)
 		rt.EnablePathReuse()
-		engines := []engineRow{{"sequential", 1, rt}}
-		for _, shards := range []int{1, 2, 4, 8} {
-			engines = append(engines,
-				engineRow{"sharded (speculate+commit)", shards, route.NewShardedEngine(nw.G, shards)})
-		}
-		seqDone := 0
-		for i, row := range engines {
-			done, el := runEngine(row.eng)
-			if i == 0 {
-				seqDone = done
-			}
-			// Every engine after the sequential reference is contractually
-			// decision-identical to it, so "established" must reproduce
-			// the sequential count exactly.
-			if i > 0 && done != seqDone {
-				// Decision parity is load-bearing: a mismatch means the
-				// engine broke its contract, and the committed table would
-				// hide it. Make it visible in the artifact instead.
-				addRow(row.name+" BROKEN PARITY", row.workers, rounds*n, done, 0)
-				continue
-			}
-			addRow(row.name, row.workers, rounds*n, done, float64(rounds*n)/el)
+		seqDone, el := runEngine(rt)
+		addRow("sequential", rounds*n, seqDone, float64(rounds*n)/el)
+		// The production engine is contractually decision-identical to the
+		// sequential reference, so "established" must reproduce the
+		// sequential count exactly.
+		done, el := runEngine(route.NewShardedEngine(nw.G, 1))
+		if done != seqDone {
+			// Decision parity is load-bearing: a mismatch means the engine
+			// broke its contract, and the committed table would hide it.
+			// Make it visible in the artifact instead.
+			addRow("sharded (guided) BROKEN PARITY", rounds*n, done, 0)
+		} else {
+			addRow("sharded (guided)", rounds*n, done, float64(rounds*n)/el)
 		}
 		res.Tables = append(res.Tables, thr)
 	}
 	res.Notes = append(res.Notes,
 		"whenever the Lemma-6 certificate holds, greedy churn never blocks (blocked = 0): strict nonblockingness is operational, not just structural",
-		"the sharded engine establishes exactly the sequential router's circuit set at every shard count — speculation is decision-neutral; throughput is tracked in BENCH.json (BenchmarkShardedChurn), not here")
+		"the sharded engine establishes exactly the sequential router's circuit set — its guide pruning is decision-neutral; throughput is tracked in BENCH.json (BenchmarkShardedChurn), not here")
 	return res
 }
 

@@ -11,11 +11,6 @@ import (
 	"ftcsn/internal/route"
 )
 
-// churnShards is the shard count of the experiment pipeline's churn
-// engine. Sharded decisions are shard-count-independent, so the value
-// trades only speed, never output.
-const churnShards = 4
-
 // witnessScratch is the worker-local state for experiments that only need
 // fault injection plus the paper's failure witnesses: one reusable fault
 // instance and one witness-check scratch per Monte-Carlo worker.
@@ -211,7 +206,7 @@ func batchEvalScratchFor(pool *core.EvaluatorPool, nw *core.Network, m fault.Mod
 		if pool != nil {
 			ev = pool.NewEvaluator(nw)
 		}
-		ev.SetChurnEngine(route.NewShardedEngine(nw.G, churnShards))
+		ev.SetChurnEngine(route.NewShardedEngine(nw.G, 1))
 		return &batchEvalScratch{
 			evalScratch: evalScratch{ev: ev, minFrac: math.Inf(1)},
 			model:       m,

@@ -6,12 +6,12 @@ package netsim
 // uniformly chosen idle output, otherwise release a uniformly chosen live
 // circuit — but with runs of consecutive connect decisions served as ONE
 // route.Engine batch instead of one router call per op. That is the seam
-// that puts the sharded speculate-then-commit engine (and its word-parallel
-// routing guide) under the Monte-Carlo trial pipeline.
+// that puts the production engine (route.ShardedEngine and its
+// word-parallel routing guide) under the Monte-Carlo trial pipeline.
 //
 // The driver is bit-compatible with the per-op generator: for any engine
 // whose ConnectBatch has sequential-router semantics (route.Router,
-// route.ShardedEngine at every shard count), Run returns exactly the
+// route.ShardedEngine), Run returns exactly the
 // (connects, failures, pathTotal) of core.ChurnWith on the same RNG, every
 // established circuit takes the identical path, and the generator's final
 // RNG state matches — so Theorem-2 probability tables cannot move. Like

@@ -1,8 +1,8 @@
 package route
 
 // Engine is the uniform seam over this package's two path-hunting
-// engines — the sequential Router (the reference oracle) and the
-// speculate-then-commit ShardedEngine (the production engine) — so the
+// engines — the sequential Router (the reference oracle) and the guided
+// ShardedEngine (the production engine) — so the
 // layers above (core's Theorem-2 churn pipeline, netsim's workload
 // drivers, experiment E9) can swap engines without hand-rolled per-engine
 // call paths.
@@ -33,8 +33,8 @@ package route
 //     treat both as no-ops.
 //   - Stats reports cumulative serving counters in engine-neutral form.
 //
-// Engines are not safe for concurrent use; ConnectBatch may parallelize
-// internally but calls must be serialized by the caller.
+// Engines are not safe for concurrent use; calls must be serialized by
+// the caller.
 type Engine interface {
 	ConnectBatch(reqs []Request, res []Result) []Result
 	Disconnect(in, out int32) error
@@ -63,8 +63,7 @@ type Request struct {
 // Result reports the outcome of one request.
 type Result struct {
 	Request
-	Path     []int32 // nil when the request failed
-	Attempts int
+	Path []int32 // nil when the request failed
 }
 
 // Compile-time checks: both engines implement the seam.
@@ -145,6 +144,7 @@ func (c *circuits) drain(f func(in int32, path []int32)) {
 // growResults resizes res to n entries, reusing capacity when possible.
 func growResults(res []Result, n int) []Result {
 	if cap(res) < n {
+		//ftlint:ignore hotpath result-slice growth fallback: steady-state callers pass a recycled res of full capacity
 		return make([]Result, n)
 	}
 	return res[:n]
@@ -152,15 +152,15 @@ func growResults(res []Result, n int) []Result {
 
 // ConnectBatch serves the requests strictly in order through Connect,
 // reusing res (grown as needed) — the sequential reference implementation
-// of the Engine seam. Attempts is 1 for every request; Path is nil on
-// rejection (busy or unusable endpoint, duplicate circuit, or no idle
-// path — the same outcomes Connect reports as errors).
+// of the Engine seam. Path is nil on rejection (busy or unusable
+// endpoint, duplicate circuit, or no idle path — the same outcomes
+// Connect reports as errors).
 func (rt *Router) ConnectBatch(reqs []Request, res []Result) []Result {
 	res = growResults(res, len(reqs))
 	rt.stats.Batches++
 	rt.stats.Requests += int64(len(reqs))
 	for i, rq := range reqs {
-		res[i] = Result{Request: rq, Attempts: 1}
+		res[i] = Result{Request: rq}
 		if path, err := rt.Connect(rq.In, rq.Out); err == nil {
 			res[i].Path = path
 			rt.stats.Accepted++

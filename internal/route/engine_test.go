@@ -22,7 +22,7 @@ func permReqs(t *testing.T, nu int) ([]route.Request, *route.Router, []route.Eng
 	}
 	rt := route.NewRouter(nw.G)
 	rt.EnablePathReuse()
-	return reqs, rt, []route.Engine{rt, route.NewShardedEngine(nw.G, 3)}
+	return reqs, rt, []route.Engine{rt, route.NewShardedEngine(nw.G, 1)}
 }
 
 // TestEngineSeamConformance runs a connect/disconnect/reconnect workload
@@ -101,7 +101,7 @@ func TestSequentialEnginesAgree(t *testing.T) {
 	nw := buildNet(t, 2)
 	engA := route.NewRouter(nw.G)
 	engA.EnablePathReuse()
-	engB := route.NewShardedEngine(nw.G, 4)
+	engB := route.NewShardedEngine(nw.G, 1)
 	var resA, resB []route.Result
 	for round := 0; round < 5; round++ {
 		resA = engA.ConnectBatch(reqs, resA)

@@ -12,8 +12,10 @@
 // failures are themselves measurements, which experiment E9 exploits.
 //
 // Two engines are provided: the sequential Router (the reference oracle),
-// and ShardedEngine, which serves batches across shards in parallel with
-// decisions and paths bit-identical to the Router's (sharded.go).
+// and ShardedEngine (the production engine, sharded.go), which runs the
+// same hunt request by request with descents pruned by an exact
+// output-reachability guide, so its decisions and paths are bit-identical
+// to the Router's.
 package route
 
 import (

@@ -79,28 +79,23 @@ func TestShardedEngineSharedMasksMatchRepaired(t *testing.T) {
 		mu := core.NewMaskUpdater(nw.G)
 		var m core.Masks
 		mu.Init(inst, &m)
-		for _, shards := range []int{1, 4} {
-			shared := route.NewShardedEngine(nw.G, shards)
-			shared.SetMasksShared(m.VertexOK, m.EdgeOK, m.OutAllowed)
-			repaired := route.NewRepairedShardedEngine(inst, shards)
-			engines := map[string]route.Engine{
-				"router":   route.NewRepairedRouter(inst),
-				"repaired": repaired,
-				"shared":   shared,
-			}
-			step := fmt.Sprintf("eps=%v shards=%d", eps, shards)
-			if requireSameServing(t, step, permutationReqs(nw, 12), engines) == 0 {
-				t.Fatalf("%s: nothing accepted", step)
-			}
-			for name, eng := range engines {
-				if se, ok := eng.(*route.ShardedEngine); ok {
-					if err := se.VerifyState(); err != nil {
-						t.Fatalf("%s: %s: %v", step, name, err)
-					}
+		shared := route.NewShardedEngine(nw.G, 1)
+		shared.SetMasksShared(m.VertexOK, m.EdgeOK, m.OutAllowed)
+		engines := map[string]route.Engine{
+			"router":   route.NewRepairedRouter(inst),
+			"repaired": route.NewRepairedShardedEngine(inst, 1),
+			"shared":   shared,
+		}
+		step := fmt.Sprintf("eps=%v", eps)
+		if requireSameServing(t, step, permutationReqs(nw, 12), engines) == 0 {
+			t.Fatalf("%s: nothing accepted", step)
+		}
+		for name, eng := range engines {
+			if se, ok := eng.(*route.ShardedEngine); ok {
+				if err := se.VerifyState(); err != nil {
+					t.Fatalf("%s: %s: %v", step, name, err)
 				}
 			}
-			shared.Close()
-			repaired.Close()
 		}
 	}
 }
@@ -121,9 +116,7 @@ func TestShardedEngineSharedMasksTrackUpdates(t *testing.T) {
 	mu := core.NewMaskUpdater(nw.G)
 	var m core.Masks
 	mu.Init(inst, &m)
-	const shards = 4
-	shared := route.NewShardedEngine(nw.G, shards)
-	defer shared.Close()
+	shared := route.NewShardedEngine(nw.G, 1)
 	shared.SetMasksShared(m.VertexOK, m.EdgeOK, m.OutAllowed)
 
 	reqs := permutationReqs(nw, 13)
@@ -144,11 +137,9 @@ func TestShardedEngineSharedMasksTrackUpdates(t *testing.T) {
 		t.Helper()
 		shared.Reset()
 		shared.MasksChangedDiff(mu.ChangedVertices(), edges)
-		repaired := route.NewRepairedShardedEngine(inst, shards)
-		defer repaired.Close()
 		engines := map[string]route.Engine{
 			"router":   route.NewRepairedRouter(inst),
-			"repaired": repaired,
+			"repaired": route.NewRepairedShardedEngine(inst, 1),
 			"shared":   shared,
 		}
 		if requireSameServing(t, step, reqs, engines) == 0 {

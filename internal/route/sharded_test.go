@@ -1,11 +1,11 @@
 package route_test
 
-// Differential, invariance, and stress harnesses for route.ShardedEngine.
-// The engine's contract is strong: accept/reject decisions AND established
-// paths are bit-identical to a sequential Router processing the same
-// request stream in order, for every shard count and batch size. These
-// tests drive identical netsim.Workload churn
-// streams through both engines and compare step by step.
+// Differential and stress harnesses for route.ShardedEngine. The engine's
+// contract is strong: accept/reject decisions AND established paths are
+// bit-identical to a sequential Router processing the same request stream
+// in order, for every batch size and guide budget. These tests drive
+// identical netsim.Workload churn streams through both engines and compare
+// step by step.
 
 import (
 	"fmt"
@@ -58,7 +58,7 @@ func (d *churnDiff) round(batch, releases int) {
 	d.t.Helper()
 	d.rounds++
 	reqs := d.wl.NextConnects(batch)
-	d.res = d.se.ServeBatch(reqs, d.res)
+	d.res = d.se.ConnectBatch(reqs, d.res)
 	for i, rq := range reqs {
 		path, err := d.rt.Connect(rq.In, rq.Out)
 		got := d.res[i].Path
@@ -95,11 +95,11 @@ func (d *churnDiff) round(batch, releases int) {
 
 // TestShardedMatchesSequentialChurn locks the headline contract under
 // continuous churn (no resets): decisions and paths bit-identical to the
-// sequential router across fault rates, shard counts, and output-guide
-// budgets. The guide is the engine's one pruning mechanism, so at one
-// shard count the engine also runs with it disabled (off: the unguided
-// probes every network past the default budget serves with) and with the
-// smallest budget that still builds it (on); auto is the default budget.
+// sequential router across fault rates and output-guide budgets. The guide
+// is the engine's one pruning mechanism, so the engine also runs with it
+// disabled (off: the unguided probes every network past the default budget
+// serves with) and with the smallest budget that still builds it (on);
+// auto is the default budget.
 func TestShardedMatchesSequentialChurn(t *testing.T) {
 	for _, nu := range []int{1, 2} {
 		nw := buildNet(t, nu)
@@ -109,113 +109,44 @@ func TestShardedMatchesSequentialChurn(t *testing.T) {
 		}{{"auto", -1}, {"on", (len(nw.Outputs()) + 63) / 64}, {"off", 0}}
 		for _, eps := range []float64{0, 0.01, 0.05} {
 			m := repairedMasks(t, nw, eps, uint64(0x5A0+nu))
-			for _, shards := range []int{1, 2, 4, 8} {
-				for _, gd := range guides {
-					if gd.limit >= 0 && shards != 4 {
-						continue // budgets × one shard count keeps runtime sane
+			for _, gd := range guides {
+				t.Run(fmt.Sprintf("nu=%d/eps=%g/%s", nu, eps, gd.name), func(t *testing.T) {
+					rt := route.NewRouter(nw.G)
+					rt.EnablePathReuse()
+					se := route.NewShardedEngine(nw.G, 1)
+					if gd.limit >= 0 {
+						se.SetGuideLimit(gd.limit)
 					}
-					name := fmt.Sprintf("nu=%d/eps=%g/shards=%d/%s", nu, eps, shards, gd.name)
-					t.Run(name, func(t *testing.T) {
-						rt := route.NewRouter(nw.G)
-						rt.EnablePathReuse()
-						se := route.NewShardedEngine(nw.G, shards)
-						if gd.limit >= 0 {
-							se.SetGuideLimit(gd.limit)
-						}
-						if eps > 0 {
-							rt.SetMasksShared(m.VertexOK, m.EdgeOK, m.OutAllowed)
-							se.SetMasksShared(m.VertexOK, m.EdgeOK, m.OutAllowed)
-						}
-						if words, _ := se.GuideWords(); (words == nil) != (gd.limit == 0) {
-							t.Fatalf("guide built=%v under budget %d", words != nil, gd.limit)
-						}
-						d := &churnDiff{t: t, rt: rt, se: se,
-							wl: netsim.NewWorkload(nw.Inputs(), nw.Outputs(), 0xC0FFEE+uint64(shards))}
-						n := len(nw.Inputs())
-						for round := 0; round < 40; round++ {
-							d.round(n/2+1, n/4+1)
-						}
-						if err := se.VerifyState(); err != nil {
-							t.Fatal(err)
-						}
-						if d.accepts == 0 {
-							t.Fatal("workload never accepted a circuit; differential is vacuous")
-						}
-					})
-				}
+					if eps > 0 {
+						rt.SetMasksShared(m.VertexOK, m.EdgeOK, m.OutAllowed)
+						se.SetMasksShared(m.VertexOK, m.EdgeOK, m.OutAllowed)
+					}
+					if words, _ := se.GuideWords(); (words == nil) != (gd.limit == 0) {
+						t.Fatalf("guide built=%v under budget %d", words != nil, gd.limit)
+					}
+					d := &churnDiff{t: t, rt: rt, se: se,
+						wl: netsim.NewWorkload(nw.Inputs(), nw.Outputs(), 0xC0FFEE)}
+					n := len(nw.Inputs())
+					for round := 0; round < 40; round++ {
+						d.round(n/2+1, n/4+1)
+					}
+					if err := se.VerifyState(); err != nil {
+						t.Fatal(err)
+					}
+					if d.accepts == 0 {
+						t.Fatal("workload never accepted a circuit; differential is vacuous")
+					}
+				})
 			}
 		}
 	}
 }
 
-// runInvariance drives one engine through a fixed saturation-churn stream
-// and returns the flattened decision+path trace.
-func runInvariance(t *testing.T, nw *core.Network, m core.Masks, shards int) (string, route.ShardedStats) {
-	t.Helper()
-	se := route.NewShardedEngine(nw.G, shards)
-	se.SetMasksShared(m.VertexOK, m.EdgeOK, m.OutAllowed)
-	wl := netsim.NewWorkload(nw.Inputs(), nw.Outputs(), 0xABCD)
-	var res []route.Result
-	trace := ""
-	n := len(nw.Inputs())
-	for round := 0; round < 50; round++ {
-		reqs := wl.NextConnects(n)
-		res = se.ServeBatch(reqs, res)
-		for i := range reqs {
-			if res[i].Path != nil {
-				trace += fmt.Sprintf("+%v", res[i].Path)
-			} else {
-				trace += "-"
-			}
-		}
-		wl.Commit(res[:len(reqs)])
-		for _, rel := range wl.NextReleases(n / 3) {
-			if err := se.Disconnect(rel.In, rel.Out); err != nil {
-				t.Fatalf("shards=%d round %d: disconnect: %v", shards, round, err)
-			}
-		}
-	}
-	if err := se.VerifyState(); err != nil {
-		t.Fatalf("shards=%d: %v", shards, err)
-	}
-	return trace, se.ShardedStats()
-}
-
-func TestShardedInvarianceAcrossShards(t *testing.T) {
-	nw := buildNet(t, 2)
-	m := repairedMasks(t, nw, 0.04, 0x151)
-	ref, refStats := runInvariance(t, nw, m, 1)
-	if refStats.Accepted == 0 {
-		t.Fatal("reference stream accepted nothing")
-	}
-	sawProbeRejects := refStats.ProbeRejects > 0
-	sawFallbacks := refStats.Fallbacks > 0
-	for _, shards := range []int{1, 2, 3, 4, 8} {
-		got, stats := runInvariance(t, nw, m, shards)
-		if got != ref {
-			t.Fatalf("shards=%d: decision+path stream diverged from reference", shards)
-		}
-		if stats.ProbeRejects > 0 {
-			sawProbeRejects = true
-		}
-		if stats.Fallbacks > 0 {
-			sawFallbacks = true
-		}
-	}
-	if !sawProbeRejects {
-		t.Error("no snapshot probe ever failed; network-blocking rejects were not exercised")
-	}
-	if !sawFallbacks {
-		t.Error("commit-time fallback never ran; conflict path was not exercised")
-	}
-}
-
-// TestShardedRaceStress exercises concurrent phase-A speculation under the
-// race detector: shard counts × batch splits over a saturating permutation
-// on the n=64 network, with state verification and decision comparison
-// against the sequential router per epoch.
+// TestShardedRaceStress drives a saturating permutation on the n=64
+// network in several batch splits over repeated epochs (Reset between
+// them), with state verification and decision comparison against the
+// sequential router per epoch.
 func TestShardedRaceStress(t *testing.T) {
-	pinProcs(t, 4)
 	nw := buildNet(t, 3)
 	n := len(nw.Inputs())
 	perm := rng.New(7).Perm(n)
@@ -226,68 +157,38 @@ func TestShardedRaceStress(t *testing.T) {
 	rt := route.NewRouter(nw.G)
 	rt.EnablePathReuse()
 	want := make([]bool, n)
-	for _, shards := range []int{2, 4, 8} {
-		for _, batch := range []int{n, n / 2, 9} {
-			se := route.NewShardedEngine(nw.G, shards)
-			var res []route.Result
-			for epoch := 0; epoch < 3; epoch++ {
-				rt.Reset()
-				for i, rq := range reqs {
-					_, err := rt.Connect(rq.In, rq.Out)
-					want[i] = err == nil
-				}
-				se.Reset()
-				for lo := 0; lo < n; lo += batch {
-					hi := min(lo+batch, n)
-					res = se.ServeBatch(reqs[lo:hi], res)
-					for i := range res[:hi-lo] {
-						if (res[i].Path != nil) != want[lo+i] {
-							t.Fatalf("shards=%d batch=%d epoch=%d req %d: decision mismatch",
-								shards, batch, epoch, lo+i)
-						}
+	for _, batch := range []int{n, n / 2, 9} {
+		se := route.NewShardedEngine(nw.G, 1)
+		var res []route.Result
+		for epoch := 0; epoch < 3; epoch++ {
+			rt.Reset()
+			for i, rq := range reqs {
+				_, err := rt.Connect(rq.In, rq.Out)
+				want[i] = err == nil
+			}
+			se.Reset()
+			for lo := 0; lo < n; lo += batch {
+				hi := min(lo+batch, n)
+				res = se.ConnectBatch(reqs[lo:hi], res)
+				for i := range res[:hi-lo] {
+					if (res[i].Path != nil) != want[lo+i] {
+						t.Fatalf("batch=%d epoch=%d req %d: decision mismatch", batch, epoch, lo+i)
 					}
 				}
-				if err := se.VerifyState(); err != nil {
-					t.Fatalf("shards=%d batch=%d epoch=%d: %v", shards, batch, epoch, err)
-				}
+			}
+			if err := se.VerifyState(); err != nil {
+				t.Fatalf("batch=%d epoch=%d: %v", batch, epoch, err)
 			}
 		}
 	}
 }
 
-// TestShardedFastPathDominatesLightChurn: under light operational churn the
-// speculative fast path should serve nearly everything; under saturating
-// batches from an empty network, conflicts must push requests through the
-// commit-time fallback instead. Both regimes must leave consistent claim state.
-func TestShardedFastPathDominatesLightChurn(t *testing.T) {
-	nw := buildNet(t, 3)
-	se := route.NewShardedEngine(nw.G, 4)
-	wl := netsim.NewWorkload(nw.Inputs(), nw.Outputs(), 0xFEED)
-	var res []route.Result
-	for round := 0; round < 50; round++ {
-		reqs := wl.NextConnects(4)
-		res = se.ServeBatch(reqs, res)
-		wl.Commit(res[:len(reqs)])
-		for _, rel := range wl.NextReleases(4) {
-			if err := se.Disconnect(rel.In, rel.Out); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	st := se.ShardedStats()
-	if st.FastPath < st.Fallbacks {
-		t.Errorf("light churn should be fast-path dominated: fast=%d fallback=%d", st.FastPath, st.Fallbacks)
-	}
-	if err := se.VerifyState(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestShardedServeBatchAllocFree: steady-state batches allocate nothing
-// once scratch is warm — the same discipline as the Evaluator trial loop.
+// TestShardedServeBatchAllocFree: steady-state ConnectBatch calls
+// allocate nothing once scratch is warm — the same discipline as the
+// Evaluator trial loop.
 func TestShardedServeBatchAllocFree(t *testing.T) {
 	nw := buildNet(t, 2)
-	se := route.NewShardedEngine(nw.G, 4)
+	se := route.NewShardedEngine(nw.G, 1)
 	n := len(nw.Inputs())
 	perm := rng.New(3).Perm(n)
 	reqs := make([]route.Request, n)
@@ -296,7 +197,7 @@ func TestShardedServeBatchAllocFree(t *testing.T) {
 	}
 	res := make([]route.Result, 0, n)
 	work := func() {
-		res = se.ServeBatch(reqs, res)
+		res = se.ConnectBatch(reqs, res)
 		for _, r := range res {
 			if r.Path != nil {
 				if err := se.Disconnect(r.In, r.Out); err != nil {
@@ -309,19 +210,19 @@ func TestShardedServeBatchAllocFree(t *testing.T) {
 		work() // warm pools and arenas
 	}
 	if avg := testing.AllocsPerRun(50, work); avg != 0 {
-		t.Errorf("steady-state ServeBatch allocated %.1f times per batch", avg)
+		t.Errorf("steady-state ConnectBatch allocated %.1f times per batch", avg)
 	}
 }
 
 // TestShardedDisconnectErrors covers the bookkeeping edges.
 func TestShardedDisconnectErrors(t *testing.T) {
 	nw := buildNet(t, 1)
-	se := route.NewShardedEngine(nw.G, 2)
+	se := route.NewShardedEngine(nw.G, 1)
 	in, out := nw.Inputs()[0], nw.Outputs()[0]
 	if err := se.Disconnect(in, out); err == nil {
 		t.Fatal("disconnect of a nonexistent circuit succeeded")
 	}
-	res := se.ServeBatch([]route.Request{{In: in, Out: out}}, nil)
+	res := se.ConnectBatch([]route.Request{{In: in, Out: out}}, nil)
 	if res[0].Path == nil {
 		t.Fatal("fault-free connect failed")
 	}
@@ -334,11 +235,11 @@ func TestShardedDisconnectErrors(t *testing.T) {
 	if err := se.Disconnect(in, nw.Outputs()[1]); err == nil {
 		t.Fatal("disconnect with wrong output succeeded")
 	}
-	// Busy endpoint: rejected without probing (Attempts stays 0).
-	res = se.ServeBatch([]route.Request{{In: in, Out: nw.Outputs()[1]}}, res)
-	if res[0].Path != nil || res[0].Attempts != 0 {
-		t.Fatalf("busy-endpoint request: got path=%v attempts=%d, want reject with 0 attempts",
-			res[0].Path, res[0].Attempts)
+	// Busy endpoint: rejected by the endpoint screen, without probing.
+	res = se.ConnectBatch([]route.Request{{In: in, Out: nw.Outputs()[1]}}, res)
+	if st := se.ShardedStats(); res[0].Path != nil || st.EndpointRejects != 1 || st.ProbeRejects != 0 {
+		t.Fatalf("busy-endpoint request: got path=%v stats=%+v, want one endpoint reject",
+			res[0].Path, st)
 	}
 	if se.PathOf(-1, out) != nil {
 		t.Fatal("PathOf(-1) should be nil")
@@ -361,9 +262,9 @@ func TestShardedDisconnectErrors(t *testing.T) {
 // rebuilds the guide so stale pruning cannot linger.
 func TestShardedSetMasksSharedReleases(t *testing.T) {
 	nw := buildNet(t, 1)
-	se := route.NewShardedEngine(nw.G, 2)
+	se := route.NewShardedEngine(nw.G, 1)
 	in, out := nw.Inputs()[0], nw.Outputs()[0]
-	if res := se.ServeBatch([]route.Request{{In: in, Out: out}}, nil); res[0].Path == nil {
+	if res := se.ConnectBatch([]route.Request{{In: in, Out: out}}, nil); res[0].Path == nil {
 		t.Fatal("fault-free connect failed")
 	}
 	m := repairedMasks(t, nw, 0.02, 99)
@@ -374,7 +275,7 @@ func TestShardedSetMasksSharedReleases(t *testing.T) {
 	// The engine must agree with a sequential router on the new masks.
 	rt := route.NewRouter(nw.G)
 	rt.SetMasksShared(m.VertexOK, m.EdgeOK, m.OutAllowed)
-	res := se.ServeBatch([]route.Request{{In: in, Out: out}}, nil)
+	res := se.ConnectBatch([]route.Request{{In: in, Out: out}}, nil)
 	_, err := rt.Connect(in, out)
 	if (err == nil) != (res[0].Path != nil) {
 		t.Fatalf("post-mask decision mismatch: seq err=%v sharded=%v", err, res[0].Path != nil)
@@ -383,12 +284,8 @@ func TestShardedSetMasksSharedReleases(t *testing.T) {
 
 // FuzzShardedVsSequential fuzzes fault patterns and batch splits on the
 // n=16 network, asserting decision AND path equality between the
-// sequential router and a 2-shard engine.
-// GOMAXPROCS is pinned >1 and full-width batches clear the 2-shard
-// fan-out threshold, so the fuzzer also drives the persistent workers and
-// the disjoint parallel commit, not just the serial walk.
+// sequential router and the engine.
 func FuzzShardedVsSequential(f *testing.F) {
-	pinProcs(f, 4)
 	f.Add(uint64(1), uint8(3))
 	f.Add(uint64(42), uint8(16))
 	f.Add(uint64(0xDEAD), uint8(1))
@@ -401,14 +298,14 @@ func FuzzShardedVsSequential(f *testing.F) {
 		rt := route.NewRouter(nw.G)
 		rt.EnablePathReuse()
 		rt.SetMasksShared(m.VertexOK, m.EdgeOK, m.OutAllowed)
-		se := route.NewShardedEngine(nw.G, 2)
+		se := route.NewShardedEngine(nw.G, 1)
 		se.SetMasksShared(m.VertexOK, m.EdgeOK, m.OutAllowed)
 		wl := netsim.NewWorkload(nw.Inputs(), nw.Outputs(), seed^0x9E3779B97F4A7C15)
 		batch := int(batchRaw%16) + 1
 		var res []route.Result
 		for round := 0; round < 6; round++ {
 			reqs := wl.NextConnects(batch)
-			res = se.ServeBatch(reqs, res)
+			res = se.ConnectBatch(reqs, res)
 			for i, rq := range reqs {
 				path, err := rt.Connect(rq.In, rq.Out)
 				if (err == nil) != (res[i].Path != nil) {
