@@ -109,34 +109,42 @@ func TestShardedMatchesSequentialChurn(t *testing.T) {
 		}{{"auto", -1}, {"on", (len(nw.Outputs()) + 63) / 64}, {"off", 0}}
 		for _, eps := range []float64{0, 0.01, 0.05} {
 			m := repairedMasks(t, nw, eps, uint64(0x5A0+nu))
-			for _, gd := range guides {
-				t.Run(fmt.Sprintf("nu=%d/eps=%g/%s", nu, eps, gd.name), func(t *testing.T) {
-					rt := route.NewRouter(nw.G)
-					rt.EnablePathReuse()
-					se := route.NewShardedEngine(nw.G, 1)
-					if gd.limit >= 0 {
-						se.SetGuideLimit(gd.limit)
+			// The engine ignores the shard count; each count only seeds a
+			// distinct churn stream for the default budget.
+			for _, shards := range []int{1, 2, 4, 8} {
+				for _, gd := range guides {
+					if gd.limit >= 0 && shards != 4 {
+						continue // budgets × one churn stream keeps runtime sane
 					}
-					if eps > 0 {
-						rt.SetMasksShared(m.VertexOK, m.EdgeOK, m.OutAllowed)
-						se.SetMasksShared(m.VertexOK, m.EdgeOK, m.OutAllowed)
-					}
-					if words, _ := se.GuideWords(); (words == nil) != (gd.limit == 0) {
-						t.Fatalf("guide built=%v under budget %d", words != nil, gd.limit)
-					}
-					d := &churnDiff{t: t, rt: rt, se: se,
-						wl: netsim.NewWorkload(nw.Inputs(), nw.Outputs(), 0xC0FFEE)}
-					n := len(nw.Inputs())
-					for round := 0; round < 40; round++ {
-						d.round(n/2+1, n/4+1)
-					}
-					if err := se.VerifyState(); err != nil {
-						t.Fatal(err)
-					}
-					if d.accepts == 0 {
-						t.Fatal("workload never accepted a circuit; differential is vacuous")
-					}
-				})
+					name := fmt.Sprintf("nu=%d/eps=%g/shards=%d/%s", nu, eps, shards, gd.name)
+					t.Run(name, func(t *testing.T) {
+						rt := route.NewRouter(nw.G)
+						rt.EnablePathReuse()
+						se := route.NewShardedEngine(nw.G, shards)
+						if gd.limit >= 0 {
+							se.SetGuideLimit(gd.limit)
+						}
+						if eps > 0 {
+							rt.SetMasksShared(m.VertexOK, m.EdgeOK, m.OutAllowed)
+							se.SetMasksShared(m.VertexOK, m.EdgeOK, m.OutAllowed)
+						}
+						if words, _ := se.GuideWords(); (words == nil) != (gd.limit == 0) {
+							t.Fatalf("guide built=%v under budget %d", words != nil, gd.limit)
+						}
+						d := &churnDiff{t: t, rt: rt, se: se,
+							wl: netsim.NewWorkload(nw.Inputs(), nw.Outputs(), 0xC0FFEE+uint64(shards))}
+						n := len(nw.Inputs())
+						for round := 0; round < 40; round++ {
+							d.round(n/2+1, n/4+1)
+						}
+						if err := se.VerifyState(); err != nil {
+							t.Fatal(err)
+						}
+						if d.accepts == 0 {
+							t.Fatal("workload never accepted a circuit; differential is vacuous")
+						}
+					})
+				}
 			}
 		}
 	}
