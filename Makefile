@@ -3,7 +3,7 @@
 GO ?= go
 
 .PHONY: build test race lint ftlint bench experiments experiments-full \
-	fuzz-smoke bench-ci bench-baseline bench-check ftserve-smoke
+	fuzz-smoke bench-ci bench-baseline bench-check ftserve-smoke loc
 
 build:
 	$(GO) build ./...
@@ -24,6 +24,11 @@ ftlint:
 
 race:
 	$(GO) test -race ./...
+
+# Non-test Go lines outside perfbench/ — the line-count metric ROADMAP
+# and CHANGES.md quote.
+loc:
+	@git ls-files '*.go' | grep -v _test.go | grep -v '^perfbench/' | xargs cat | wc -l
 
 bench:
 	$(GO) test -run=NONE -bench=. -benchmem ./...

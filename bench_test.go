@@ -357,7 +357,7 @@ func BenchmarkEvaluatorBatchTrial(b *testing.B) {
 
 // BenchmarkEvaluatorShardedChurnTrial is BenchmarkEvaluatorBatchTrial with
 // the churn phase driven through route.ShardedEngine via the Engine seam
-// (core.Evaluator.SetChurnEngine): the batch-shaped op stream is
+// (core.Evaluator.SetChurnEngine): the per-op churn stream is
 // bit-identical to the sequential-router churn (netsim.ChurnDriver, the
 // core differential harness), so the delta is pure serving speed — chiefly
 // the engine's per-epoch output-reachability guide pruning the n=64 probe
@@ -462,8 +462,8 @@ func BenchmarkZooBatchCertTrial(b *testing.B) {
 
 // BenchmarkZooShardedChurnTrial is BenchmarkEvaluatorShardedChurnTrial on
 // the permuted-sweep HyperX family: the sharded engine's reachability
-// guide keys off topological levels, so the
-// batch-shaped churn fast path serves non-staged topologies too.
+// guide keys off topological levels, so the guided churn path serves
+// non-staged topologies too.
 func BenchmarkZooShardedChurnTrial(b *testing.B) {
 	nw := benchZooNetwork(b)
 	ev := NewEvaluator(nw)

@@ -1,5 +1,5 @@
 // Command ftbench regenerates every experiment table of the reproduction
-// (E1–E13, covering all quantitative artifacts of Pippenger & Lin 1994:
+// (E1–E14, covering all quantitative artifacts of Pippenger & Lin 1994:
 // Proposition 1, Lemmas 1–7, Theorems 1–2, Figs. 1–5, plus the §2–§4
 // surveys) and prints them as Markdown. EXPERIMENTS.md at the repo root is
 // its output:
@@ -15,8 +15,8 @@
 // so per-trial overhead is O(#failure changes), not O(switches), and trial
 // throughput is bounded by graph traversal, not GC or resets. Worker
 // scratch is drawn from core.EvaluatorPool arenas recycled across each
-// experiment's networks, trial churn is batch-shaped (netsim.ChurnDriver
-// over the route.Engine seam, bit-identical to the per-op protocol), and
+// experiment's networks, trial churn runs per op (netsim.ChurnDriver
+// over the route.Engine seam, one single-request batch per connect), and
 // E9 drives every engine through that same seam.
 //
 // Usage:
@@ -25,9 +25,13 @@
 package main
 
 import (
+	"bufio"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -51,22 +55,27 @@ func main() {
 		os.Exit(2)
 	}
 
-	want := map[string]bool{}
-	for _, id := range strings.Split(*only, ",") {
-		if id = strings.TrimSpace(id); id != "" {
-			want[strings.ToUpper(id)] = true
-		}
+	registry := experiments.Registry()
+	valid := make([]string, len(registry))
+	for i, e := range registry {
+		valid[i] = e.ID
+	}
+	want, err := selectIDs(*only, valid)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "ftbench: %v\n", err)
+		os.Exit(2)
 	}
 
-	w := os.Stdout
+	var w io.Writer = os.Stdout
+	var f *os.File
+	var bw *bufio.Writer
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
+		if f, err = os.Create(*out); err != nil {
 			fmt.Fprintf(os.Stderr, "ftbench: %v\n", err)
 			os.Exit(1)
 		}
-		defer f.Close()
-		w = f
+		bw = bufio.NewWriter(f)
+		w = bw
 	}
 
 	// The header is date-free on purpose: quick-mode output is committed as
@@ -76,7 +85,7 @@ func main() {
 	fmt.Fprintf(w, "Generated by `ftbench -mode %s` (regenerate with `make experiments`; CI fails on drift).\n", *mode)
 	fmt.Fprintf(w, "Paper-vs-measured for every table/figure-equivalent artifact; see DESIGN.md §4 for the experiment index.\n\n")
 
-	for _, e := range experiments.Registry() {
+	for _, e := range registry {
 		if len(want) > 0 && !want[e.ID] {
 			continue
 		}
@@ -85,4 +94,29 @@ func main() {
 		res.Render(w)
 		fmt.Fprintf(os.Stderr, "ftbench: %s done in %v\n", e.ID, time.Since(start).Round(time.Millisecond))
 	}
+	// A failed write leaves a truncated document: the buffered writer
+	// keeps the first write error, and Close reports what the file saw.
+	if f != nil {
+		if err := errors.Join(bw.Flush(), f.Close()); err != nil {
+			fmt.Fprintf(os.Stderr, "ftbench: writing %s: %v\n", *out, err)
+			os.Exit(1)
+		}
+	}
+}
+
+// selectIDs parses the -only list (comma-separated, case-insensitive)
+// against the valid experiment IDs; an empty list selects every
+// experiment and an unknown ID is an error naming the valid ones.
+func selectIDs(only string, valid []string) (map[string]bool, error) {
+	want := map[string]bool{}
+	for _, id := range strings.Split(only, ",") {
+		if id = strings.ToUpper(strings.TrimSpace(id)); id == "" {
+			continue
+		}
+		if !slices.Contains(valid, id) {
+			return nil, fmt.Errorf("unknown experiment %q in -only (valid: %s)", id, strings.Join(valid, ","))
+		}
+		want[id] = true
+	}
+	return want, nil
 }

@@ -10,11 +10,12 @@ import (
 	"ftcsn/internal/route"
 )
 
-// This file is the correctness gate for the batch-shaped churn seam: the
-// batched pipeline driving its churn through a route.Engine (including
-// the production ShardedEngine) must produce bit-identical per-trial
-// outcomes to the legacy per-trial engine, whose churn is the per-op
-// ChurnWith loop. Families × ε, and a fuzz harness over op streams.
+// This file is the correctness gate for the churn engine seam: the
+// batched pipeline driving its per-op churn through a route.Engine
+// (including the production ShardedEngine) must produce bit-identical
+// per-trial outcomes to the legacy per-trial engine, whose churn runs on
+// the evaluator's own sequential router. Families × ε, and a fuzz harness
+// over op streams.
 
 // TestDifferentialShardedChurnVsPerOp runs the batched pipeline with
 // SetChurnEngine(ShardedEngine) against per-trial EvaluateInto reference
@@ -122,9 +123,9 @@ func TestEvaluatorShardedChurnAllocFree(t *testing.T) {
 }
 
 // FuzzBatchChurnVsPerOp fuzzes the op-stream space: arbitrary (seed, ε,
-// ops) tuples must keep the batch-shaped churn driver bit-identical to the
-// per-op reference through the full trial pipeline. The fourth byte is
-// unused; it keeps the corpus valid.
+// ops) tuples must keep the batched pipeline's churn, served through the
+// sharded engine, bit-identical to the legacy router-driven trial. The
+// fourth byte is unused; it keeps the corpus valid.
 func FuzzBatchChurnVsPerOp(f *testing.F) {
 	f.Add(uint64(1), uint16(0), uint8(40), uint8(1))
 	f.Add(uint64(2), uint16(800), uint8(90), uint8(2))

@@ -74,9 +74,9 @@ type Evaluator struct {
 	// sequential router, swappable for any route.Engine with
 	// sequential-batch semantics via SetChurnEngine (the sharded engine's
 	// guided probes make n=64 trials markedly faster; decisions and paths
-	// are bit-identical either way). cd generates the batch-shaped op
-	// stream; engDirty tracks whether the shared traversal bytes were
-	// edited in place since the engine last derived state from them.
+	// are bit-identical either way). cd runs the per-op churn protocol;
+	// engDirty tracks whether the shared traversal bytes were edited in
+	// place since the engine last derived state from them.
 	eng      route.Engine
 	cd       netsim.ChurnDriver
 	engDirty bool
@@ -312,8 +312,8 @@ func (ev *Evaluator) EvaluateNextInto(out *TrialOutcome, churnOps int) {
 	if churnOps > 0 {
 		// Masks are shared and already current: drop circuits, let the
 		// engine refresh anything it derives from the edited bytes (the
-		// sharded engine's routing guide), and drive the batch-shaped op
-		// stream — bit-identical to per-op ChurnWith on the router (see
+		// sharded engine's routing guide), and drive the churn protocol —
+		// bit-identical to churn on the evaluator's own router (see
 		// netsim.ChurnDriver and the differential harness). The refresh is
 		// incremental — the accumulated change lists bound the engine's
 		// work to the diff's reverse cone — unless an untracked edit (a
@@ -381,10 +381,8 @@ func (ev *Evaluator) evaluateInst(inst *fault.Instance, churnOps int, r *rng.RNG
 
 	if churnOps > 0 {
 		// SetMasks resets the router (no live circuits), the precondition
-		// of the batched driver. ChurnDriver is bit-identical to the
-		// per-op ChurnWith reference here (sequential batch semantics),
-		// so this legacy path and the batched EvaluateNextInto pipeline
-		// share one production churn entry.
+		// of the churn driver; this legacy path and the batched
+		// EvaluateNextInto pipeline share the one churn entry.
 		ev.rt.SetMasks(ev.masks.VertexOK, ev.masks.EdgeOK)
 		out.ChurnConnects, out.ChurnFailures, out.ChurnPathTotal =
 			ev.cd.Run(ev.rt, ev.nw.Inputs(), ev.nw.Outputs(), churnOps, r)
@@ -420,63 +418,4 @@ func minOf(xs []int) int {
 		}
 	}
 	return m
-}
-
-type churnCircuit struct{ in, out int32 }
-
-// ChurnScratch holds the request-generator state ChurnWith reuses across
-// runs: the live-circuit list and the idle terminal pools.
-type ChurnScratch struct {
-	live    []churnCircuit
-	idleIn  []int32
-	idleOut []int32
-}
-
-// ChurnWith is the per-op churn REFERENCE — differential use only, not a
-// production entry. It drives a router with ops random operations: with
-// probability 1/2 (or always, when no circuit exists; never, when all
-// terminals are busy) it connects a uniformly chosen idle input to a
-// uniformly chosen idle output, otherwise it disconnects a uniformly
-// chosen existing circuit, returning attempted connects, failed connects,
-// and the summed path length of successes — the operational
-// strictly-nonblocking test. Every production path (the trial pipeline,
-// cmd/ftroute, the experiments) runs the batch-shaped
-// netsim.ChurnDriver instead; TestChurnDriverMatchesPerOp pins the two
-// bit-identical on every sequential-batch engine, which is the only
-// reason this function stays: it is the oracle that differential
-// harnesses and fuzzers replay op by op.
-func ChurnWith(rt *route.Router, inputs, outputs []int32, ops int, r *rng.RNG, sc *ChurnScratch) (connects, failures, pathTotal int) {
-	sc.live = sc.live[:0]
-	sc.idleIn = append(sc.idleIn[:0], inputs...)
-	sc.idleOut = append(sc.idleOut[:0], outputs...)
-	for op := 0; op < ops; op++ {
-		doConnect := len(sc.live) == 0 || (len(sc.idleIn) > 0 && r.Bernoulli(0.5))
-		if doConnect && len(sc.idleIn) > 0 && len(sc.idleOut) > 0 {
-			ii := r.Intn(len(sc.idleIn))
-			oo := r.Intn(len(sc.idleOut))
-			in, outT := sc.idleIn[ii], sc.idleOut[oo]
-			connects++
-			path, err := rt.Connect(in, outT)
-			if err != nil {
-				failures++
-				continue
-			}
-			pathTotal += len(path) - 1
-			sc.idleIn[ii] = sc.idleIn[len(sc.idleIn)-1]
-			sc.idleIn = sc.idleIn[:len(sc.idleIn)-1]
-			sc.idleOut[oo] = sc.idleOut[len(sc.idleOut)-1]
-			sc.idleOut = sc.idleOut[:len(sc.idleOut)-1]
-			sc.live = append(sc.live, churnCircuit{in, outT})
-		} else if len(sc.live) > 0 {
-			ci := r.Intn(len(sc.live))
-			c := sc.live[ci]
-			if err := rt.Disconnect(c.in, c.out); err == nil {
-				sc.idleIn = append(sc.idleIn, c.in)
-				sc.idleOut = append(sc.idleOut, c.out)
-			}
-			sc.live[ci] = sc.live[len(sc.live)-1]
-			sc.live = sc.live[:len(sc.live)-1]
-		}
-	}
-	return connects, failures, pathTotal
 }

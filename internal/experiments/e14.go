@@ -147,7 +147,7 @@ func E14FamilyZoo(mode Mode) Result {
 	res.Notes = append(res.Notes,
 		"only 𝒩 carries Theorem 2's guarantee; the zoo rows measure how far Lemma 6's certificate and greedy churn degrade on families that were never engineered for it — blocked > 0 outside 𝒩 is expected, not a bug",
 		"mirror(𝒩), the superconcentrator, hyperx and circulant all take the permuted sweep (IDs not level-sorted) — before the Levels contract these families had no word-parallel certifier and no sharded fast path at all",
-		"families are compared under the same symmetric-ε fault model and the same batch-shaped churn stream; sizes differ, so compare trends (ε response, blocking onset), not absolute rates",
+		"families are compared under the same symmetric-ε fault model and the same churn stream; sizes differ, so compare trends (ε response, blocking onset), not absolute rates",
 		"the three baselines span the connector spectrum: the doubled-tree (Θ(n) switches, every path through one root, at most one live circuit), the butterfly (unique path per pair, fastest ε decay), and the multibutterfly (constant terminal degree 2d — tolerant of worst-case bounded fault sets but not the paper's random model, per E8)")
 	return res
 }

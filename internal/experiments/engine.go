@@ -7,7 +7,6 @@ import (
 	"ftcsn/internal/core"
 	"ftcsn/internal/fault"
 	"ftcsn/internal/graph"
-	"ftcsn/internal/rng"
 	"ftcsn/internal/route"
 )
 
@@ -19,25 +18,11 @@ type witnessScratch struct {
 	sc   *fault.Scratch
 }
 
-// witnessScratchFor returns a constructor suitable for
-// montecarlo.RunBoolWith over graph g.
-func witnessScratchFor(g *graph.Graph) func() *witnessScratch {
-	return func() *witnessScratch {
-		return &witnessScratch{inst: fault.NewInstance(g), sc: fault.NewScratch(g)}
-	}
-}
-
-// reinject redraws the worker's instance under the symmetric model.
-func (s *witnessScratch) reinject(eps float64, r *rng.RNG) *fault.Instance {
-	fault.InjectInto(s.inst, fault.Symmetric(eps), r)
-	return s.inst
-}
-
 // batchWitnessScratch is witnessScratch on the batched injection engine:
 // its StartBlock hook (montecarlo.BlockStarter) draws a whole scheduling
 // block's failure positions in one sweep, and next advances the instance
-// trial-to-trial by diffs — bit-identical states to reinject with the
-// same per-trial streams, without the O(E) per-trial Reset.
+// trial-to-trial by diffs — bit-identical states to fault.InjectInto with
+// the same per-trial streams, without the O(E) per-trial Reset.
 type batchWitnessScratch struct {
 	witnessScratch
 	bi    *fault.BatchInjector
@@ -132,12 +117,6 @@ type evalScratch struct {
 	minFrac              float64
 }
 
-func evalScratchFor(nw *core.Network) func() *evalScratch {
-	return func() *evalScratch {
-		return &evalScratch{ev: core.NewEvaluator(nw), minFrac: math.Inf(1)}
-	}
-}
-
 // injectScratch is the minimal batched worker scratch for experiments
 // whose trials need only fault injection plus the faulty-vertex mask
 // (E3's grids, E4's expanders): blocks fill via the montecarlo
@@ -197,9 +176,7 @@ func (s *batchEvalScratch) StartBlock(seed, first uint64, n int) {
 // Every scratch churns through a ShardedEngine: decisions and paths are
 // contractually bit-identical to the default sequential router (locked by
 // the churn differential harness and the E9 parity rows), and the guided
-// probes make churn-heavy experiments markedly faster. Per-op ChurnWith
-// remains on the sequential router — that seam belongs to the differential
-// harness, not the experiment pipeline.
+// probes make churn-heavy experiments markedly faster.
 func batchEvalScratchFor(pool *core.EvaluatorPool, nw *core.Network, m fault.Model, seq bool) func() *batchEvalScratch {
 	return func() *batchEvalScratch {
 		ev := core.NewEvaluator(nw)

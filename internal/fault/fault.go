@@ -379,8 +379,6 @@ type reachScratch struct {
 	queue []int32
 }
 
-func newReachScratch(n int) reachScratch { return newReachScratchIn(n, nil) }
-
 func newReachScratchIn(n int, a *arena.Arena) reachScratch {
 	return reachScratch{seen: a.U32(n), queue: a.I32(256)[:0]}
 }

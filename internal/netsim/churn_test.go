@@ -25,12 +25,12 @@ func repairedMasks(t *testing.T, nw *core.Network, eps float64, seed uint64) cor
 	return m
 }
 
-// TestChurnDriverMatchesPerOp is the lockstep differential for the
-// batch-shaped churn generator: on fault-free and heavily faulted repaired
-// networks (the latter forcing endpoint and no-path rejections, i.e. the
-// rollback path), ChurnDriver.Run over every sequential-semantics engine
-// must reproduce core.ChurnWith bit for bit — aggregates, per-circuit
-// paths, and the generator's final RNG state.
+// TestChurnDriverMatchesPerOp is the lockstep differential for the churn
+// driver: on fault-free and heavily faulted repaired networks (the latter
+// forcing endpoint and no-path rejections), ChurnDriver.Run over every
+// sequential-semantics engine must reproduce the ChurnWith oracle bit for
+// bit — aggregates, per-circuit paths, and the generator's final RNG
+// state.
 func TestChurnDriverMatchesPerOp(t *testing.T) {
 	nw := buildSmall(t)
 	for _, eps := range []float64{0, 0.08, 0.25} {
@@ -42,7 +42,7 @@ func TestChurnDriverMatchesPerOp(t *testing.T) {
 		ref.SetMasksShared(m.VertexOK, m.EdgeOK, m.OutAllowed)
 		const ops = 400
 		refR := rng.New(42)
-		wantC, wantF, wantP := core.ChurnWith(ref, nw.G.Inputs(), nw.G.Outputs(), ops, refR, &core.ChurnScratch{})
+		wantC, wantF, wantP := ChurnWith(ref, nw.G.Inputs(), nw.G.Outputs(), ops, refR, &ChurnScratch{})
 		wantState := refR.State()
 		wantPaths := pathSnapshot(ref, nw.G)
 
@@ -72,7 +72,7 @@ func TestChurnDriverMatchesPerOp(t *testing.T) {
 			}
 		}
 		if wantF == 0 && eps >= 0.25 {
-			t.Logf("eps=%v produced no failures; rollback path unexercised here", eps)
+			t.Logf("eps=%v produced no failures; reject branch unexercised here", eps)
 		}
 	}
 }
@@ -91,17 +91,17 @@ func pathSnapshot(eng route.Engine, g *graph.Graph) string {
 	return s
 }
 
-// TestChurnDriverRollbackExercised pins down that the heavy-fault case
-// actually takes the rollback path (otherwise the differential above
-// proves less than it claims).
-func TestChurnDriverRollbackExercised(t *testing.T) {
+// TestChurnDriverRejectsExercised pins down that the heavy-fault case
+// actually takes the driver's reject branch (otherwise the differential
+// above proves less than it claims).
+func TestChurnDriverRejectsExercised(t *testing.T) {
 	nw := buildSmall(t)
 	m := repairedMasks(t, nw, 0.25, 0xC0FFEE+250)
-	ref := route.NewRouter(nw.G)
-	ref.EnablePathReuse()
-	ref.SetMasksShared(m.VertexOK, m.EdgeOK, m.OutAllowed)
-	r := rng.New(42)
-	_, failures, _ := core.ChurnWith(ref, nw.G.Inputs(), nw.G.Outputs(), 400, r, &core.ChurnScratch{})
+	eng := route.NewRouter(nw.G)
+	eng.EnablePathReuse()
+	eng.SetMasksShared(m.VertexOK, m.EdgeOK, m.OutAllowed)
+	var cd netsim.ChurnDriver
+	_, failures, _ := cd.Run(eng, nw.G.Inputs(), nw.G.Outputs(), 400, rng.New(42))
 	if failures == 0 {
 		t.Fatal("heavy-fault stream produced no failed connects; pick a harsher seed/eps")
 	}
@@ -127,7 +127,7 @@ func TestChurnDriverAllocFree(t *testing.T) {
 
 // TestChurnDriverIncrementalMasks runs the full per-epoch lifecycle the
 // trial pipeline performs — fault diff, incremental mask update, engine
-// notification, batch-shaped churn — with the sharded engine kept current
+// notification, churn — with the sharded engine kept current
 // through MasksChangedDiff only, never a full MasksChanged. Against a
 // sequential router over the same evolving shared masks, every round's
 // aggregates, live-circuit paths, and final RNG state must stay
@@ -187,7 +187,7 @@ func TestChurnDriverUnequalTerminalSets(t *testing.T) {
 	ref := route.NewRouter(nw.G)
 	ref.EnablePathReuse()
 	refR := rng.New(5)
-	wantC, wantF, wantP := core.ChurnWith(ref, ins, outs, 300, refR, &core.ChurnScratch{})
+	wantC, wantF, wantP := ChurnWith(ref, ins, outs, 300, refR, &ChurnScratch{})
 
 	eng := route.NewRouter(nw.G)
 	eng.EnablePathReuse()
@@ -197,4 +197,58 @@ func TestChurnDriverUnequalTerminalSets(t *testing.T) {
 	if gotC != wantC || gotF != wantF || gotP != wantP || r.State() != refR.State() {
 		t.Fatalf("unequal sets diverged: got (%d,%d,%d) want (%d,%d,%d)", gotC, gotF, gotP, wantC, wantF, wantP)
 	}
+}
+
+type churnCircuit struct{ in, out int32 }
+
+// ChurnScratch holds the request-generator state ChurnWith reuses across
+// runs: the live-circuit list and the idle terminal pools.
+type ChurnScratch struct {
+	live    []churnCircuit
+	idleIn  []int32
+	idleOut []int32
+}
+
+// ChurnWith is the per-op churn REFERENCE the tests below hold
+// netsim.ChurnDriver against. It drives a router with ops random
+// operations through Router.Connect directly: with probability 1/2 (or
+// always, when no circuit exists; never, when all terminals are busy) it
+// connects a uniformly chosen idle input to a uniformly chosen idle
+// output, otherwise it disconnects a uniformly chosen existing circuit,
+// returning attempted connects, failed connects, and the summed path
+// length of successes — the operational strictly-nonblocking test.
+func ChurnWith(rt *route.Router, inputs, outputs []int32, ops int, r *rng.RNG, sc *ChurnScratch) (connects, failures, pathTotal int) {
+	sc.live = sc.live[:0]
+	sc.idleIn = append(sc.idleIn[:0], inputs...)
+	sc.idleOut = append(sc.idleOut[:0], outputs...)
+	for op := 0; op < ops; op++ {
+		doConnect := len(sc.live) == 0 || (len(sc.idleIn) > 0 && r.Bernoulli(0.5))
+		if doConnect && len(sc.idleIn) > 0 && len(sc.idleOut) > 0 {
+			ii := r.Intn(len(sc.idleIn))
+			oo := r.Intn(len(sc.idleOut))
+			in, outT := sc.idleIn[ii], sc.idleOut[oo]
+			connects++
+			path, err := rt.Connect(in, outT)
+			if err != nil {
+				failures++
+				continue
+			}
+			pathTotal += len(path) - 1
+			sc.idleIn[ii] = sc.idleIn[len(sc.idleIn)-1]
+			sc.idleIn = sc.idleIn[:len(sc.idleIn)-1]
+			sc.idleOut[oo] = sc.idleOut[len(sc.idleOut)-1]
+			sc.idleOut = sc.idleOut[:len(sc.idleOut)-1]
+			sc.live = append(sc.live, churnCircuit{in, outT})
+		} else if len(sc.live) > 0 {
+			ci := r.Intn(len(sc.live))
+			c := sc.live[ci]
+			if err := rt.Disconnect(c.in, c.out); err == nil {
+				sc.idleIn = append(sc.idleIn, c.in)
+				sc.idleOut = append(sc.idleOut, c.out)
+			}
+			sc.live[ci] = sc.live[len(sc.live)-1]
+			sc.live = sc.live[:len(sc.live)-1]
+		}
+	}
+	return connects, failures, pathTotal
 }

@@ -15,6 +15,7 @@
 //
 // The closed-loop layer (workload.go, churn.go) is the Theorem-2 churn
 // protocol: Workload generates connect/release batches by coin flip with
-// engine feedback, and ChurnDriver drives the whole protocol against an
-// engine, bit-identical to the per-op reference core.ChurnWith.
+// engine feedback, and ChurnDriver drives the trial pipeline's coin-flip
+// protocol against an engine one op at a time, each connect a
+// single-request batch.
 package netsim
