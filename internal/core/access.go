@@ -333,11 +333,20 @@ func (nw *Network) MajorityAccess(ac *AccessChecker, m Masks) MajorityReport {
 // differential harness). Busy-aware or byte-less masks fall back to the
 // per-terminal BFS below.
 func (nw *Network) MajorityAccessInto(ac *AccessChecker, m Masks, rep *MajorityReport) {
+	nw.majorityAccessGuidedInto(ac, m, nil, 0, rep)
+}
+
+// majorityAccessGuidedInto is MajorityAccessInto with an optional
+// output-reachability guide current for m's traversal bytes
+// (route.Engine.GuideWords): the word-parallel certifier then reads the
+// output half off the guide's middle-stage rows where that is exact (see
+// BatchAccessChecker). Reports are bit-identical either way.
+func (nw *Network) majorityAccessGuidedInto(ac *AccessChecker, m Masks, guide []uint64, groups int, rep *MajorityReport) {
 	if m.Busy == nil && m.OutAllowed != nil && m.InAllowed != nil {
 		if ac.batch == nil {
 			ac.batch = NewBatchAccessCheckerIn(nw, ac.a)
 		}
-		if ac.batch.MajorityAccessInto(m, rep) {
+		if ac.batch.majorityAccessInto(m, guide, groups, rep) {
 			return
 		}
 	}

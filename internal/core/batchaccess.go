@@ -40,10 +40,25 @@ import (
 // conditions the set of middle-stage vertices a terminal reaches — and so
 // every count and the OK verdict — is bit-identical to the BFS (locked by
 // the differential harness and FuzzBatchedMajorityAccess).
+//
+// The output half has a second source. The routing engine's
+// output-reachability guide (route.Engine.GuideWords) holds, per vertex,
+// the outputs an allowed-slot path reaches — the same relation the
+// backward sweep computes, so the column populations of its middle-stage
+// rows are the output access counts (majorityAccessInto with a guide).
+// The two rules differ only in how a path may pass through a terminal:
+// the guide enters a terminal only as a path's end (AdjTerminal), while
+// access counting treats terminals as ordinary vertices. guideExact
+// records, once per network, that no terminal above the middle level has
+// an out-edge — no terminal can sit inside a middle-to-output path — so
+// the two agree; elsewhere the backward sweep runs.
 type BatchAccessChecker struct {
 	nw   *Network
 	lv   *graph.Levels // topological leveling; nil when the graph is cyclic
 	rows *bitset.Set
+	// guideExact: the guide's middle-stage rows give exact output access
+	// counts on this network (see above).
+	guideExact bool
 	// lanes is the strip width in sources (≤ 64). It exists so tests can
 	// exercise multi-strip scheduling and partial strips on small networks;
 	// production use keeps the full word.
@@ -65,8 +80,23 @@ func NewBatchAccessCheckerIn(nw *Network, a *arena.Arena) *BatchAccessChecker {
 	if lv, err := nw.G.Levels(); err == nil && nw.MiddleStage+1 < len(lv.First()) {
 		bc.lv = lv
 		bc.rows = bitset.NewIn(64*nw.G.NumVertices(), a)
+		level, mid := lv.PerVertex(), int32(nw.MiddleStage)
+		bc.guideExact = !terminalAbove(nw.G, nw.Inputs(), level, mid) &&
+			!terminalAbove(nw.G, nw.Outputs(), level, mid)
 	}
 	return bc
+}
+
+// terminalAbove reports whether one of the terminals ts lies above level
+// mid and has an out-edge, i.e. could be an interior vertex of a path from
+// the middle level to an output.
+func terminalAbove(g *graph.Graph, ts, level []int32, mid int32) bool {
+	for _, v := range ts {
+		if level[v] > mid && g.OutDegree(v) > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // Supported reports whether the checker can run on its network at all
@@ -80,6 +110,15 @@ func (bc *BatchAccessChecker) Supported() bool { return bc.lv != nil }
 // Busy (lane words carry no busy information, so busy-exempt certification
 // stays on the BFS path).
 func (bc *BatchAccessChecker) MajorityAccessInto(m Masks, rep *MajorityReport) bool {
+	return bc.majorityAccessInto(m, nil, 0, rep)
+}
+
+// majorityAccessInto is MajorityAccessInto with an optional
+// output-reachability guide (route.Engine.GuideWords, current for m's
+// traversal bytes): when it is given and the network is guideExact, the
+// output half is read off the guide's middle-stage rows instead of the
+// backward sweep.
+func (bc *BatchAccessChecker) majorityAccessInto(m Masks, guide []uint64, groups int, rep *MajorityReport) bool {
 	if bc.lv == nil || m.Busy != nil || m.OutAllowed == nil || m.InAllowed == nil {
 		return false
 	}
@@ -89,7 +128,12 @@ func (bc *BatchAccessChecker) MajorityAccessInto(m Masks, rep *MajorityReport) b
 	rep.InputAccess = growInts(rep.InputAccess, len(nw.Inputs()))
 	rep.OutputAccess = growInts(rep.OutputAccess, len(nw.Outputs()))
 	bc.countForward(nw.Inputs(), mid, m.OutAllowed, rep.InputAccess)
-	bc.countBackward(nw.Outputs(), mid, m.InAllowed, rep.OutputAccess)
+	if bc.guideExact && guide != nil && groups == (len(nw.Outputs())+63)>>6 &&
+		len(guide) == nw.G.NumVertices()*groups {
+		bc.countFromGuide(guide, groups, mid, rep.OutputAccess)
+	} else {
+		bc.countBackward(nw.Outputs(), mid, m.InAllowed, rep.OutputAccess)
+	}
 	need := rep.MiddleSize/2 + 1
 	rep.OK = true
 	for _, c := range rep.InputAccess {
@@ -169,6 +213,35 @@ func (bc *BatchAccessChecker) countForward(srcs []int32, targetStage int, allowe
 			for w := words[v]; w != 0; w &= w - 1 {
 				counts[base+bits.TrailingZeros64(w)]++
 			}
+		}
+	}
+}
+
+// countFromGuide fills counts[j] with the number of targetStage vertices
+// whose guide row holds output j's bit: the column populations of the
+// guide's middle-stage block. Each 64-output group is summed into a
+// bit-sliced counter (word k holds bit k of all 64 lane counts), so a row
+// costs a short carry chain instead of one increment per set bit.
+func (bc *BatchAccessChecker) countFromGuide(guide []uint64, groups, targetStage int, counts []int) {
+	first := bc.lv.First()
+	order := bc.lv.Order()
+	for g := 0; g < groups; g++ {
+		var sum [32]uint64
+		for p := first[targetStage]; p < first[targetStage+1]; p++ {
+			v := p
+			if order != nil {
+				v = order[p]
+			}
+			for k, carry := 0, guide[int(v)*groups+g]; carry != 0; k++ {
+				sum[k], carry = sum[k]^carry, sum[k]&carry
+			}
+		}
+		for j := g << 6; j < min(len(counts), (g+1)<<6); j++ {
+			c := 0
+			for k, w := range sum {
+				c |= int(w>>(uint(j)&63)&1) << k
+			}
+			counts[j] = c
 		}
 	}
 }

@@ -21,6 +21,15 @@ import (
 // SetChurnEngine(ShardedEngine) against per-trial EvaluateInto reference
 // outcomes, across the structural families and fault rates spanning "no
 // failures" to "frequent rejects".
+//
+// A second arm interleaves certificate-only trials (EvaluateNextCertInto,
+// checked against EvaluateCertificateInto) between churn trials inside
+// one block: a cert trial stamps new masks but leaves the engine's guide
+// alone, so the next churn trial's guide refresh must start from the
+// fault-free copy, not from the previous churn trial's words. At the
+// largest ε some trial's damage crosses the guide's full-rebuild cutover
+// (a change list of NumEdges/8 entries, route's guideRebuildDivisor) on
+// every family, so both refresh paths feed the certificate.
 func TestDifferentialShardedChurnVsPerOp(t *testing.T) {
 	const (
 		trials   = 30
@@ -34,11 +43,14 @@ func TestDifferentialShardedChurnVsPerOp(t *testing.T) {
 			m := fault.Symmetric(eps)
 
 			want := make([]TrialOutcome, trials)
+			wantCert := make([]TrialOutcome, trials)
 			lev := NewEvaluator(nw)
 			var r rng.RNG
 			for i := 0; i < trials; i++ {
 				r.ReseedStream(seed, uint64(i))
 				lev.EvaluateInto(&want[i], m, &r, churnOps)
+				r.ReseedStream(seed, uint64(i))
+				lev.EvaluateCertificateInto(&wantCert[i], m, &r)
 			}
 
 			label := fmt.Sprintf("%s/eps=%v", name, eps)
@@ -55,6 +67,37 @@ func TestDifferentialShardedChurnVsPerOp(t *testing.T) {
 							label, first+j, out, want[first+j])
 					}
 				}
+			}
+
+			// Interleaved arm: every third trial is certificate-only.
+			ev = NewEvaluator(nw)
+			ev.SetChurnEngine(route.NewShardedEngine(nw.G, 1))
+			overCutover := false
+			for first := 0; first < trials; first += 8 {
+				n := min(8, trials-first)
+				ev.StartBlock(m, seed, uint64(first), n)
+				for j := 0; j < n; j++ {
+					i := first + j
+					if i%3 == 1 {
+						ev.EvaluateNextCertInto(&out)
+						if out != wantCert[i] {
+							t.Fatalf("%s: interleaved cert trial %d diverged:\nbatched %+v\nlegacy  %+v",
+								label, i, out, wantCert[i])
+						}
+						continue
+					}
+					ev.EvaluateNextInto(&out, churnOps)
+					if out != want[i] {
+						t.Fatalf("%s: interleaved churn trial %d diverged:\nsharded %+v\nlegacy  %+v",
+							label, i, out, want[i])
+					}
+					if (len(ev.mu.damV)+len(ev.mu.damE))*8 >= nw.G.NumEdges() {
+						overCutover = true
+					}
+				}
+			}
+			if eps == epss[len(epss)-1] && !overCutover {
+				t.Errorf("%s: no churn trial crossed the guide's full-rebuild cutover", label)
 			}
 		}
 	}

@@ -12,6 +12,7 @@ import (
 	"ftcsn/internal/hyperx"
 	"ftcsn/internal/montecarlo"
 	"ftcsn/internal/rng"
+	"ftcsn/internal/route"
 	"ftcsn/internal/superconc"
 )
 
@@ -318,6 +319,95 @@ func TestWordParallelBusyFallback(t *testing.T) {
 	nw.majorityAccessBFS(ac, m, &bfs)
 	if why, ok := reportsEqual(&word, &bfs); !ok {
 		t.Fatalf("busy-free reports diverge: %s", why)
+	}
+}
+
+// TestGuidedCertificateTerminalFallback: on a graph where an output has an
+// out-edge above the middle level, a middle-to-output path can pass
+// through that output. Access counting treats it as an ordinary vertex;
+// the routing guide enters a terminal only as a path's end, so its
+// middle-stage rows undercount. The certifier must detect this once at
+// construction and take the backward sweep even when handed a current
+// guide, matching the per-terminal BFS — here and through the batched
+// pipeline on the guided engine.
+func TestGuidedCertificateTerminalFallback(t *testing.T) {
+	// Levels: 0 inputs i0,i1; 1 a,b; 2 (middle) m0,m1,m2; 3 output o0
+	// and c; 4 output o1. o0 -> o1 makes o0 interior to m0 -> o0 -> o1.
+	b := graph.NewBuilder(10, 16)
+	i0, i1 := b.AddVertex(0), b.AddVertex(0)
+	a, bb := b.AddVertex(1), b.AddVertex(1)
+	m0, m1, m2 := b.AddVertex(2), b.AddVertex(2), b.AddVertex(2)
+	o0, c := b.AddVertex(3), b.AddVertex(3)
+	o1 := b.AddVertex(4)
+	for _, e := range [][2]int32{
+		{i0, a}, {i0, bb}, {i1, a}, {i1, bb},
+		{a, m0}, {a, m1}, {bb, m1}, {bb, m2},
+		{m0, o0}, {m1, o0}, {m1, c}, {m2, c},
+		{o0, o1}, {c, o1},
+	} {
+		b.AddEdge(e[0], e[1])
+	}
+	b.MarkInput(i0)
+	b.MarkInput(i1)
+	b.MarkOutput(o0)
+	b.MarkOutput(o1)
+	nw, err := WrapGraph(b.Freeze())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nw.MiddleStage != 2 {
+		t.Fatalf("middle level %d, want 2", nw.MiddleStage)
+	}
+	bc := NewBatchAccessChecker(nw)
+	if bc.guideExact {
+		t.Fatal("certifier trusts the guide on a graph with an interior output")
+	}
+
+	inst := fault.NewInstance(nw.G)
+	mu := NewMaskUpdater(nw.G)
+	var m Masks
+	mu.Init(inst, &m)
+	se := route.NewShardedEngine(nw.G, 1)
+	se.SetMasksShared(m.VertexOK, m.EdgeOK, m.OutAllowed)
+	guide, groups := se.GuideWords()
+	if guide == nil {
+		t.Fatal("guide off on the hand-built graph")
+	}
+
+	// The guide's middle rows really disagree with access counting here:
+	// o1 is reached from m0 only through o0.
+	fromGuide := make([]int, len(nw.Outputs()))
+	bc.countFromGuide(guide, groups, nw.MiddleStage, fromGuide)
+	ac := NewAccessChecker(nw)
+	var guided, bfs MajorityReport
+	nw.majorityAccessBFS(ac, m, &bfs)
+	if fromGuide[1] == bfs.OutputAccess[1] {
+		t.Fatalf("guide rows give o1 access %d, same as the BFS: the graph does not exercise the fallback", fromGuide[1])
+	}
+	nw.majorityAccessGuidedInto(ac, m, guide, groups, &guided)
+	if why, ok := reportsEqual(&guided, &bfs); !ok {
+		t.Fatalf("guided certificate diverges from the BFS: %s", why)
+	}
+
+	// The batched pipeline on the guided engine, against the per-trial
+	// oracle, across fault rates.
+	for _, eps := range []float64{0, 0.05, 0.2} {
+		const trials, churnOps, seed = 24, 12, uint64(0x7E1)
+		fm := fault.Symmetric(eps)
+		lev := NewEvaluator(nw)
+		ev := NewEvaluator(nw)
+		ev.SetChurnEngine(route.NewShardedEngine(nw.G, 1))
+		ev.StartBlock(fm, seed, 0, trials)
+		var r rng.RNG
+		var want, got TrialOutcome
+		for i := 0; i < trials; i++ {
+			r.ReseedStream(seed, uint64(i))
+			lev.EvaluateInto(&want, fm, &r, churnOps)
+			ev.EvaluateNextInto(&got, churnOps)
+			if got != want {
+				t.Fatalf("eps=%v trial %d: batched %+v, per-trial %+v", eps, i, got, want)
+			}
+		}
 	}
 }
 

@@ -59,6 +59,12 @@ func (t TrialOutcome) AvgPathLen() float64 {
 // allocate nothing in steady state. It is the Monte-Carlo fast path: give
 // each worker its own Evaluator (montecarlo.RunBoolWith / RunWith) and call
 // EvaluateInto per trial. An Evaluator is not safe for concurrent use.
+//
+// The batched form (StartBlock + EvaluateNextInto / EvaluateNextCertInto)
+// is bit-identical and cheaper: it holds every trial as the fault-free
+// network plus that trial's damage, so the mask update and the guide
+// refresh cost O(damage), and the certificate's output half is read off
+// the churn engine's guide when it keeps one (see EvaluateNextInto).
 type Evaluator struct {
 	nw    *Network
 	inst  *fault.Instance
@@ -74,32 +80,17 @@ type Evaluator struct {
 	// sequential router, swappable for any route.Engine with
 	// sequential-batch semantics via SetChurnEngine (the sharded engine's
 	// guided probes make n=64 trials markedly faster; decisions and paths
-	// are bit-identical either way). cd runs the per-op churn protocol;
-	// engDirty tracks whether the shared traversal bytes were edited in
-	// place since the engine last derived state from them.
-	eng      route.Engine
-	cd       netsim.ChurnDriver
-	engDirty bool
+	// are bit-identical either way). cd runs the per-op churn protocol.
+	eng route.Engine
+	cd  netsim.ChurnDriver
 
-	// Accumulated change lists for the engine's incremental refresh
-	// (route.Engine.MasksChangedDiff): every mu.Apply between engine
-	// notifications merges its flipped vertices and recomputed edges here,
-	// epoch-deduplicated, so the diff handed to the engine covers every
-	// byte edit since it last derived state — across as many trials as the
-	// churn phase skips. The lists are arena-backed at full nV/nE capacity
-	// (dedup bounds their length), so accumulation never allocates.
-	// pendFull marks an edit recorded without its lists (the
-	// certificate-only path, which never pays churn and so never tracks);
-	// the next churn phase then falls back to the full MasksChanged.
-	pendV, pendE     []int32
-	pendVEp, pendEEp []uint32
-	pendEpoch        uint32
-	pendFull         bool
-
-	// Batched-block engine: the injector advances inst between trials by
-	// diffs, the mask updater keeps masks (and the engines' shared view of
-	// them) current from those diffs, and synced tracks whether the
-	// inst/masks/engine triple is in that incrementally-maintained state.
+	// Batched-block engine: every trial is the fault-free network plus
+	// that trial's damage. The injector advances inst to the trial's
+	// failures, the mask updater stamps the trial's discard repair onto
+	// the shared masks (undoing the previous trial's), and the engine
+	// refreshes its guide from its fault-free copy plus the same damage —
+	// so no state carries over from one trial to the next. synced tracks
+	// whether the inst/masks/engine triple is in that maintained state.
 	batch  *fault.BatchInjector
 	mu     *MaskUpdater
 	synced bool
@@ -135,11 +126,6 @@ func NewEvaluatorIn(nw *Network, a *arena.Arena) *Evaluator {
 	ev.masks.EdgeOK = a.Bools(nE)
 	ev.masks.OutAllowed = a.Bytes(nE)
 	ev.masks.InAllowed = a.Bytes(nE)
-	ev.pendV = a.I32(nV)[:0]
-	ev.pendE = a.I32(nE)[:0]
-	ev.pendVEp = a.U32(nV)
-	ev.pendEEp = a.U32(nE)
-	ev.pendEpoch = 1
 	return ev
 }
 
@@ -202,10 +188,10 @@ func (ev *Evaluator) EvaluateCertificateInto(out *TrialOutcome, m fault.Model, r
 // model m: trial first+j draws its faults from rng.Stream(seed, first+j),
 // exactly as EvaluateInto does under the montecarlo harness. Consume the
 // block with EvaluateNextInto / EvaluateNextCertInto — each call advances
-// the fault instance by a diff and repairs only the changed
-// stage-neighborhoods, so per-trial overhead is O(#failure changes), not
-// O(E). Outcomes are bit-identical to the per-trial engine at any block
-// size (see the differential harness).
+// the fault instance by a diff and stamps the trial's damage onto the
+// fault-free masks, so mask upkeep is O(damage), not O(E). Outcomes are
+// bit-identical to the per-trial engine at any block size (see the
+// differential harness).
 func (ev *Evaluator) StartBlock(m fault.Model, seed, first uint64, n int) {
 	ev.resync()
 	ev.batch.FillStream(m, seed, first, n)
@@ -239,49 +225,7 @@ func (ev *Evaluator) resync() {
 	ev.batch.Rebase(ev.inst)
 	ev.mu.Init(ev.inst, &ev.masks)
 	ev.eng.SetMasksShared(ev.masks.VertexOK, ev.masks.EdgeOK, ev.masks.OutAllowed)
-	ev.engDirty = false
-	ev.clearPending()
 	ev.synced = true
-}
-
-// noteMaskEdits merges the latest mu.Apply's change lists (edges: its
-// return value; vertices: ChangedVertices) into the pending diff the
-// engine receives at the next churn phase. Dedup is epoch-stamped, so the
-// arena-backed lists never outgrow their nV/nE capacity.
-//
-//ftcsn:hotpath per-trial diff bookkeeping on the batched pipeline
-func (ev *Evaluator) noteMaskEdits(edges []int32) {
-	if len(edges) == 0 {
-		return
-	}
-	ev.engDirty = true
-	for _, v := range ev.mu.ChangedVertices() {
-		if ev.pendVEp[v] != ev.pendEpoch {
-			ev.pendVEp[v] = ev.pendEpoch
-			ev.pendV = append(ev.pendV, v)
-		}
-	}
-	for _, e := range edges {
-		if ev.pendEEp[e] != ev.pendEpoch {
-			ev.pendEEp[e] = ev.pendEpoch
-			ev.pendE = append(ev.pendE, e)
-		}
-	}
-}
-
-// clearPending forgets the accumulated diff after the engine consumed it
-// (or resync handed the engine a fresh full view). O(1): epoch bump; the
-// stamp arrays are cleared only on the ~4-billion-epoch wraparound.
-func (ev *Evaluator) clearPending() {
-	ev.pendV = ev.pendV[:0]
-	ev.pendE = ev.pendE[:0]
-	ev.pendFull = false
-	ev.pendEpoch++
-	if ev.pendEpoch == 0 {
-		clear(ev.pendVEp)
-		clear(ev.pendEEp)
-		ev.pendEpoch = 1
-	}
 }
 
 // EvaluateNextInto runs the next trial of the current block — the batched
@@ -289,46 +233,36 @@ func (ev *Evaluator) clearPending() {
 // stream. Churn randomness resumes the trial's own stream from its
 // post-injection state.
 //
+// With churn, the engine refreshes its routing guide before the
+// certificate: the guide's middle-stage rows then supply the
+// certificate's output half (Corollary 2's access counts), and the
+// forward sweep supplies the input half (Lemma 6's). Without a guide — the
+// default Router engine — both halves come from the word-parallel sweeps.
+//
 //ftcsn:hotpath per-trial pipeline core; 0 allocs/trial pinned by BenchmarkEvaluatorBatchTrial
 func (ev *Evaluator) EvaluateNextInto(out *TrialOutcome, churnOps int) {
-	ev.requireSynced()
-	diff := ev.batch.ApplyNext(ev.inst)
-	ev.noteMaskEdits(ev.mu.Apply(ev.inst, &ev.masks, diff))
+	vertices, edges := ev.stampNext(out)
 	ev.r.SetState(ev.batch.RNGState(ev.batch.Applied()))
-	*out = TrialOutcome{
-		FailedSwitches: ev.inst.NumFailed(),
-		OpenSwitches:   ev.inst.NumOpen(),
-		ClosedSwitches: ev.inst.NumClosed(),
-	}
 	list, sts := ev.batch.AppliedFailures()
 	if a, _ := ev.inst.ShortedTerminalsFromList(list, sts, ev.fsc); a >= 0 {
 		out.Shorted = true
 	}
-	ev.nw.MajorityAccessInto(ev.ac, ev.masks, &ev.rep)
-	out.MajorityAccess = ev.rep.OK
-	out.MinInputAccess = minOf(ev.rep.InputAccess)
-	out.MinOutputAccess = minOf(ev.rep.OutputAccess)
-
+	var guide []uint64
+	var groups int
 	if churnOps > 0 {
-		// Masks are shared and already current: drop circuits, let the
-		// engine refresh anything it derives from the edited bytes (the
-		// sharded engine's routing guide), and drive the churn protocol —
-		// bit-identical to churn on the evaluator's own router (see
-		// netsim.ChurnDriver and the differential harness). The refresh is
-		// incremental — the accumulated change lists bound the engine's
-		// work to the diff's reverse cone — unless an untracked edit (a
-		// certificate-only trial in between) forces the full rebuild; the
-		// two are bit-identical either way.
+		// Masks are shared and already current: drop circuits and let the
+		// engine refresh what it derives from the bytes (the sharded
+		// engine's routing guide) from its fault-free copy plus this
+		// trial's damage — bit-identical to a full rebuild.
 		ev.eng.Reset()
-		if ev.engDirty {
-			if ev.pendFull {
-				ev.eng.MasksChanged()
-			} else {
-				ev.eng.MasksChangedDiff(ev.pendV, ev.pendE)
-			}
-			ev.clearPending()
-			ev.engDirty = false
-		}
+		ev.eng.MasksDamaged(vertices, edges)
+		guide, groups = ev.eng.GuideWords()
+	}
+	ev.certify(out, guide, groups)
+	if churnOps > 0 {
+		// Churn on the engine is bit-identical to churn on the
+		// evaluator's own router (see netsim.ChurnDriver and the
+		// differential harness).
 		out.ChurnConnects, out.ChurnFailures, out.ChurnPathTotal =
 			ev.cd.Run(ev.eng, ev.nw.Inputs(), ev.nw.Outputs(), churnOps, &ev.r)
 	}
@@ -338,28 +272,39 @@ func (ev *Evaluator) EvaluateNextInto(out *TrialOutcome, churnOps int) {
 // EvaluateNextCertInto is EvaluateNextInto restricted to the
 // majority-access certificate — the batched counterpart of
 // EvaluateCertificateInto, bit-identical to it for the same trial stream.
+// It leaves the engine's guide stale; the next churn trial's MasksDamaged
+// rebuilds it from the fault-free copy, so nothing needs tracking.
 //
 //ftcsn:hotpath per-trial certificate pipeline; 0 allocs/trial pinned by BenchmarkEvaluatorBatchCertTrial
 func (ev *Evaluator) EvaluateNextCertInto(out *TrialOutcome) {
+	ev.stampNext(out)
+	ev.certify(out, nil, 0)
+	out.Success = out.MajorityAccess
+}
+
+// stampNext applies the block's next trial to the instance and stamps its
+// discard repair onto the masks, starting out with the failure counts. It
+// returns the trial's damage (MaskUpdater.Stamp).
+func (ev *Evaluator) stampNext(out *TrialOutcome) (vertices, edges []int32) {
 	ev.requireSynced()
-	diff := ev.batch.ApplyNext(ev.inst)
-	// Record the edit without its lists: the certificate path never pays
-	// a churn phase itself, so it skips per-trial diff bookkeeping; a
-	// later churn trial falls back to the full refresh.
-	if len(ev.mu.Apply(ev.inst, &ev.masks, diff)) > 0 {
-		ev.engDirty = true
-		ev.pendFull = true
-	}
+	ev.batch.ApplyNext(ev.inst)
+	list, _ := ev.batch.AppliedFailures()
 	*out = TrialOutcome{
 		FailedSwitches: ev.inst.NumFailed(),
 		OpenSwitches:   ev.inst.NumOpen(),
 		ClosedSwitches: ev.inst.NumClosed(),
 	}
-	ev.nw.MajorityAccessInto(ev.ac, ev.masks, &ev.rep)
+	return ev.mu.Stamp(&ev.masks, list)
+}
+
+// certify runs the majority-access certificate on the current masks,
+// reading the output half off guide when one is given (see
+// majorityAccessGuidedInto), and records it in out.
+func (ev *Evaluator) certify(out *TrialOutcome, guide []uint64, groups int) {
+	ev.nw.majorityAccessGuidedInto(ev.ac, ev.masks, guide, groups, &ev.rep)
 	out.MajorityAccess = ev.rep.OK
 	out.MinInputAccess = minOf(ev.rep.InputAccess)
 	out.MinOutputAccess = minOf(ev.rep.OutputAccess)
-	out.Success = out.MajorityAccess
 }
 
 // evaluateInst is the shared post-injection pipeline; inst must be over the

@@ -2,10 +2,12 @@ package core
 
 import (
 	"encoding/binary"
+	"fmt"
 	"sync"
 	"testing"
 
 	"ftcsn/internal/fault"
+	"ftcsn/internal/graph"
 )
 
 var fuzzNetOnce = sync.OnceValues(func() (*Network, error) {
@@ -88,6 +90,13 @@ func FuzzBatchedMajorityAccess(f *testing.F) {
 // rebuild. Input encoding: records of 3 bytes (edgeLo, edgeHi, op); op
 // bits 0-1 pick the new state (mod 3), bit 2 flushes the accumulated
 // batch through Apply, bit 3 forces a full cross-check.
+//
+// A second arm covers Stamp, the batched pipeline's baseline + damage
+// form: the same records, split by op bit 4 into a prior and a next
+// failure list, are stamped right after Init on the faulted instance the
+// first arm left, then in turn, and every stamp must equal the rebuild of
+// an instance failing exactly that list's switches — with the returned
+// damage naming each discarded vertex and blocked edge once.
 func FuzzIncrementalRepairMasks(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 0x00, 0x05, 0x00, 0x00, 0x04})
@@ -98,6 +107,10 @@ func FuzzIncrementalRepairMasks(f *testing.F) {
 	f.Add([]byte{
 		0x40, 0x01, 0x02, 0x40, 0x01, 0x01, 0x40, 0x01, 0x00, 0x40, 0x01, 0x0e,
 		0xff, 0xff, 0x05, 0x00, 0x01, 0x09,
+	})
+	f.Add([]byte{
+		0x10, 0x00, 0x01, 0x20, 0x00, 0x11, 0x10, 0x00, 0x12, 0x33, 0x01, 0x1a,
+		0x21, 0x00, 0x02, 0x21, 0x00, 0x11, 0x00, 0x00, 0x15,
 	})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -115,28 +128,7 @@ func FuzzIncrementalRepairMasks(f *testing.F) {
 
 		check := func(step int) {
 			t.Helper()
-			var want Masks
-			RepairMasksInto(inst, &want)
-			for v := range want.VertexOK {
-				if m.VertexOK[v] != want.VertexOK[v] {
-					t.Fatalf("step %d: VertexOK[%d] = %v, rebuild says %v", step, v, m.VertexOK[v], want.VertexOK[v])
-				}
-			}
-			for e := range want.EdgeOK {
-				if m.EdgeOK[e] != want.EdgeOK[e] {
-					t.Fatalf("step %d: EdgeOK[%d] = %v, rebuild says %v", step, e, m.EdgeOK[e], want.EdgeOK[e])
-				}
-			}
-			wantOut := g.BuildOutAllowed(want.EdgeOK, want.VertexOK, nil)
-			wantIn := g.BuildInAllowed(want.EdgeOK, want.VertexOK, nil)
-			for i := range wantOut {
-				if m.OutAllowed[i] != wantOut[i] {
-					t.Fatalf("step %d: OutAllowed[%d] = %#x, rebuild says %#x", step, i, m.OutAllowed[i], wantOut[i])
-				}
-				if m.InAllowed[i] != wantIn[i] {
-					t.Fatalf("step %d: InAllowed[%d] = %#x, rebuild says %#x", step, i, m.InAllowed[i], wantIn[i])
-				}
-			}
+			checkMasksMatchRebuild(t, fmt.Sprint("step ", step), g, &m, inst)
 		}
 
 		var diff []fault.DiffEntry
@@ -166,5 +158,92 @@ func FuzzIncrementalRepairMasks(f *testing.F) {
 		}
 		flush(len(data))
 		check(len(data))
+
+		var prior, next []int32
+		for i := 0; i+2 < len(data); i += 3 {
+			e := int32(binary.LittleEndian.Uint16(data[i:])) % nE
+			if data[i+2]&16 == 0 {
+				prior = append(prior, e)
+			} else {
+				next = append(next, e)
+			}
+		}
+		smu := NewMaskUpdater(g)
+		var sm Masks
+		smu.Init(inst, &sm)
+		want := fault.NewInstance(g)
+		stamp := func(step string, list []int32) {
+			t.Helper()
+			vs, es := smu.Stamp(&sm, list)
+			want.Reset()
+			for i, e := range list {
+				want.SetState(e, fault.State(1+i%2))
+			}
+			checkMasksMatchRebuild(t, step, g, &sm, want)
+			checkDamage(t, step, &sm, vs, es)
+		}
+		stamp("stamp after Init", prior)
+		stamp("stamp next", next)
+		stamp("stamp prior again", prior)
+		stamp("stamp empty", nil)
 	})
+}
+
+// checkMasksMatchRebuild requires m — VertexOK, EdgeOK and both traversal
+// byte arrays — to equal a from-scratch RepairMasksInto + Build*Allowed of
+// inst byte for byte.
+func checkMasksMatchRebuild(t *testing.T, step string, g *graph.Graph, m *Masks, inst *fault.Instance) {
+	t.Helper()
+	var want Masks
+	RepairMasksInto(inst, &want)
+	for v := range want.VertexOK {
+		if m.VertexOK[v] != want.VertexOK[v] {
+			t.Fatalf("%s: VertexOK[%d] = %v, rebuild says %v", step, v, m.VertexOK[v], want.VertexOK[v])
+		}
+	}
+	for e := range want.EdgeOK {
+		if m.EdgeOK[e] != want.EdgeOK[e] {
+			t.Fatalf("%s: EdgeOK[%d] = %v, rebuild says %v", step, e, m.EdgeOK[e], want.EdgeOK[e])
+		}
+	}
+	wantOut := g.BuildOutAllowed(want.EdgeOK, want.VertexOK, nil)
+	wantIn := g.BuildInAllowed(want.EdgeOK, want.VertexOK, nil)
+	for i := range wantOut {
+		if m.OutAllowed[i] != wantOut[i] {
+			t.Fatalf("%s: OutAllowed[%d] = %#x, rebuild says %#x", step, i, m.OutAllowed[i], wantOut[i])
+		}
+		if m.InAllowed[i] != wantIn[i] {
+			t.Fatalf("%s: InAllowed[%d] = %#x, rebuild says %#x", step, i, m.InAllowed[i], wantIn[i])
+		}
+	}
+}
+
+// checkDamage requires Stamp's damage lists to name exactly the vertices m
+// discards and the edges it blocks, each once.
+func checkDamage(t *testing.T, step string, m *Masks, vs, es []int32) {
+	t.Helper()
+	seenV := make(map[int32]bool, len(vs))
+	for _, v := range vs {
+		if seenV[v] || m.VertexOK[v] {
+			t.Fatalf("%s: damage vertex %d listed twice or not discarded", step, v)
+		}
+		seenV[v] = true
+	}
+	seenE := make(map[int32]bool, len(es))
+	for _, e := range es {
+		if seenE[e] || m.EdgeOK[e] {
+			t.Fatalf("%s: damage edge %d listed twice or not blocked", step, e)
+		}
+		seenE[e] = true
+	}
+	for v, ok := range m.VertexOK {
+		if !ok && !seenV[int32(v)] {
+			t.Fatalf("%s: discarded vertex %d missing from the damage", step, v)
+		}
+	}
+	for e, ok := range m.EdgeOK {
+		if !ok && !seenE[int32(e)] {
+			t.Fatalf("%s: blocked edge %d missing from the damage", step, e)
+		}
+	}
 }

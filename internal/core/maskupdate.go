@@ -15,6 +15,13 @@ import (
 // (Masks.OutAllowed/InAllowed) current, so the access-certificate BFS and
 // the router see the update for free.
 //
+// Stamp is the batched pipeline's form: it treats every trial as the
+// fault-free baseline plus that trial's damage. It puts back to baseline
+// the vertices and edges the previous Stamp damaged (its journal), then
+// applies the discard repair of the new failure list directly, so its
+// cost is proportional to the two trials' damage and never rescans a
+// vertex's incident switches.
+//
 // Dirty sets are epoch-stamped, so per-trial bookkeeping allocates nothing
 // and costs O(1) to reset. Equivalence with the from-scratch rescan is
 // locked by FuzzIncrementalRepairMasks.
@@ -28,6 +35,14 @@ type MaskUpdater struct {
 	dirtyV  []int32
 	dirtyE  []int32
 	flipped []int32 // vertices whose usability actually flipped in the last Apply
+
+	// Stamp's journal: the vertices the masks currently discard and the
+	// edges they currently block, everything else being at the fault-free
+	// baseline. stale marks masks the journal does not describe (after
+	// Init on a faulted instance, or an Apply); the next Stamp then resets
+	// them to baseline in full.
+	damV, damE []int32
+	stale      bool
 }
 
 // NewMaskUpdater returns an updater for graphs over g.
@@ -54,6 +69,85 @@ func (mu *MaskUpdater) Init(inst *fault.Instance, m *Masks) {
 	RepairMasksInto(inst, m)
 	m.OutAllowed = mu.g.BuildOutAllowed(m.EdgeOK, m.VertexOK, outBuf)
 	m.InAllowed = mu.g.BuildInAllowed(m.EdgeOK, m.VertexOK, inBuf)
+	mu.damV, mu.damE = mu.damV[:0], mu.damE[:0]
+	mu.stale = inst.NumFailed() > 0
+}
+
+// Stamp sets m to the discard repair of the failure list failed (switch
+// IDs; the failure mode does not matter to the repair): it puts back to
+// the fault-free baseline what the previous Stamp damaged, then discards
+// every non-terminal endpoint of a failed switch and blocks the failed
+// switches and every switch incident to a discarded vertex. m must come
+// from Init; afterwards the result equals RepairMasksInto plus
+// BuildOutAllowed/BuildInAllowed on an instance with exactly these
+// failures. It returns the damage — the discarded vertices and the
+// blocked edges, each once — valid until the next call. That is the
+// change list, relative to the fault-free masks, that
+// route.Engine.MasksDamaged takes.
+//
+//ftcsn:hotpath per-trial mask update of the batched pipeline; O(damage), pinned by TestEvaluatorCertAllocFree
+func (mu *MaskUpdater) Stamp(m *Masks, failed []int32) (vertices, edges []int32) {
+	g := mu.g
+	if mu.stale {
+		for v := range m.VertexOK {
+			m.VertexOK[v] = true
+		}
+		for e := range m.EdgeOK {
+			m.EdgeOK[e] = true
+		}
+		for i := range m.OutAllowed {
+			m.OutAllowed[i] &^= graph.AdjBlocked
+			m.InAllowed[i] &^= graph.AdjBlocked
+		}
+		mu.stale = false
+	} else {
+		for _, v := range mu.damV {
+			m.VertexOK[v] = true
+		}
+		for _, e := range mu.damE {
+			m.EdgeOK[e] = true
+			m.OutAllowed[g.OutSlot(e)] &^= graph.AdjBlocked
+			m.InAllowed[g.InSlot(e)] &^= graph.AdjBlocked
+		}
+	}
+	mu.bump()
+	mu.damV, mu.damE = mu.damV[:0], mu.damE[:0]
+	for _, e := range failed {
+		mu.block(m, e)
+		mu.discard(m, g.EdgeFrom(e))
+		mu.discard(m, g.EdgeTo(e))
+	}
+	return mu.damV, mu.damE
+}
+
+// discard removes non-terminal v from the repaired network and blocks
+// every switch incident to it, once per Stamp.
+func (mu *MaskUpdater) discard(m *Masks, v int32) {
+	if mu.g.IsTerminal(v) || mu.vEpoch[v] == mu.vCur {
+		return
+	}
+	mu.vEpoch[v] = mu.vCur
+	m.VertexOK[v] = false
+	mu.damV = append(mu.damV, v)
+	for _, e := range mu.g.OutEdges(v) {
+		mu.block(m, e)
+	}
+	for _, e := range mu.g.InEdges(v) {
+		mu.block(m, e)
+	}
+}
+
+// block marks switch e unusable in m, once per Stamp: Stamp starts from
+// the fault-free bytes, so a set AdjBlocked bit means e is already listed.
+func (mu *MaskUpdater) block(m *Masks, e int32) {
+	slot := mu.g.OutSlot(e)
+	if m.OutAllowed[slot]&graph.AdjBlocked != 0 {
+		return
+	}
+	m.OutAllowed[slot] |= graph.AdjBlocked
+	m.InAllowed[mu.g.InSlot(e)] |= graph.AdjBlocked
+	m.EdgeOK[e] = false
+	mu.damE = append(mu.damE, e)
 }
 
 // Apply updates m for the given edge-state changes. m must be current for
@@ -62,6 +156,7 @@ func (mu *MaskUpdater) Init(inst *fault.Instance, m *Masks) {
 // superset of those that actually changed — valid until the next call.
 func (mu *MaskUpdater) Apply(inst *fault.Instance, m *Masks, diff []fault.DiffEntry) []int32 {
 	g := mu.g
+	mu.stale = true
 	mu.bump()
 	mu.dirtyV = mu.dirtyV[:0]
 	mu.dirtyE = mu.dirtyE[:0]
@@ -103,8 +198,8 @@ func (mu *MaskUpdater) Apply(inst *fault.Instance, m *Masks, diff []fault.DiffEn
 // ChangedVertices returns the vertices whose usability flipped in the
 // last Apply (not the merely-touched endpoints) — together with Apply's
 // returned edge list, the exact change set an engine needs to refresh
-// derived state incrementally (route.Engine.MasksChangedDiff). Valid
-// until the next Apply.
+// derived state incrementally (route.ShardedEngine.MasksChangedDiff).
+// Valid until the next Apply.
 func (mu *MaskUpdater) ChangedVertices() []int32 { return mu.flipped }
 
 // Revert undoes a previously applied diff on both the instance and the

@@ -18,12 +18,12 @@ package netsim
 // RNG — Theorem-2 probability tables cannot depend on the engine.
 //
 // Between trials the caller advances the fault epoch before calling Run:
-// apply the trial's diff through core.MaskUpdater and notify the engine —
-// Engine.MasksChangedDiff with the updater's changed vertex/edge lists on
-// the incremental path, or Engine.MasksChanged as the full-sweep fallback.
-// Either notification yields bit-identical guides and hence bit-identical
-// churn decisions (route's incremental-guide differentials); the driver
-// itself never touches masks.
+// stamp the trial's discard repair onto the shared masks
+// (core.MaskUpdater.Stamp) and hand its damage to Engine.MasksDamaged, or
+// call Engine.MasksChanged as the full-sweep fallback. Either notification
+// yields bit-identical guides and hence bit-identical churn decisions
+// (route's incremental-guide differentials); the driver itself never
+// touches masks.
 
 import (
 	"ftcsn/internal/rng"

@@ -21,16 +21,22 @@ package route
 //     CSR-slot traversal bytes (core.MaskUpdater's slices); MasksChanged
 //     tells the engine those adopted bytes were edited in place between
 //     batches, so engines that derive per-epoch state from them (the
-//     sharded engine's routing guide) can refresh. MasksChangedDiff is
-//     the same notification carrying the exact change lists the maintainer
-//     already computed (core.MaskUpdater.Apply's recomputed edges and
-//     ChangedVertices' usability flips): engines with derived state
-//     refresh incrementally in O(#changes) instead of O(E), with results
-//     bit-identical to a full MasksChanged. The lists may safely
-//     over-approximate but must cover every edit since the last
-//     notification; when the caller cannot bound the edits, MasksChanged
-//     remains the full-rebuild fallback. Engines that read the bytes live
-//     treat both as no-ops.
+//     sharded engine's routing guide) can refresh. MasksDamaged is the
+//     same notification stated against the fault-free network: the lists
+//     name the trial's damage — every vertex the masks discard and every
+//     edge they block (core.MaskUpdater.Stamp's return values) — and
+//     engines with derived state restore their fault-free copy of it and
+//     recompute only the damage's reverse cone, in O(damage) instead of
+//     O(E), with results bit-identical to a full MasksChanged. The lists
+//     may safely over-approximate but must cover every byte that differs
+//     from the fault-free network. Engines that read the bytes live treat
+//     both as no-ops.
+//   - GuideWords exposes the engine's current output-reachability guide
+//     (nil when it keeps none): bit j of the groups words at vertex v is
+//     set iff an allowed-slot path leads from v to output j, entering a
+//     terminal only as the path's end. The majority-access certificate
+//     reads its output half (Corollary 2's access counts) off the
+//     middle-stage rows after MasksDamaged.
 //   - Stats reports cumulative serving counters in engine-neutral form.
 //
 // Engines are not safe for concurrent use; calls must be serialized by
@@ -43,7 +49,8 @@ type Engine interface {
 	Stats() EngineStats
 	SetMasksShared(vertexOK, edgeOK []bool, outAllowed []uint8)
 	MasksChanged()
-	MasksChangedDiff(vertices, edges []int32)
+	MasksDamaged(vertices, edges []int32)
+	GuideWords() (words []uint64, groups int)
 }
 
 // EngineStats is the engine-neutral cumulative serving record of an
@@ -178,7 +185,10 @@ func (rt *Router) Stats() EngineStats { return rt.stats }
 // live, so in-place edits between batches need no refresh.
 func (rt *Router) MasksChanged() {}
 
-// MasksChangedDiff is a no-op for the same reason as MasksChanged: no
-// derived per-epoch state exists, so the change lists carry nothing to
+// MasksDamaged is a no-op for the same reason as MasksChanged: no
+// derived per-epoch state exists, so the damage lists carry nothing to
 // maintain.
-func (rt *Router) MasksChangedDiff(vertices, edges []int32) {}
+func (rt *Router) MasksDamaged(vertices, edges []int32) {}
+
+// GuideWords returns nil: the router keeps no output-reachability guide.
+func (rt *Router) GuideWords() ([]uint64, int) { return nil, 0 }

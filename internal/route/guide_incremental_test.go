@@ -1,8 +1,9 @@
 package route_test
 
 // Differential, fuzz, and allocation coverage for the incrementally
-// maintained output-reachability guide (ShardedEngine.MasksChangedDiff):
-// after every fault diff, revert, and interleaved churn step, the guide
+// maintained output-reachability guide (ShardedEngine.MasksChangedDiff,
+// and MasksDamaged's fault-free snapshot + damage cone): after every
+// fault diff, revert, damage stamp, and interleaved churn step, the guide
 // words must be bit-identical to a full rebuild's, and the engine's
 // decisions and paths bit-identical to the sequential Router's, across
 // the topology zoo and several fault seeds. External test package: the realistic
@@ -130,6 +131,8 @@ func lockstepBatch(t *testing.T, step string, inc, ref *route.ShardedEngine, seq
 // engine must stay decision- and path-identical to the sequential Router
 // — including mid-sequence reverts and diffs applied while circuits are
 // live.
+//
+// The damage arm (checkDamageArm) then runs on the same family and seed.
 func TestIncrementalGuideMatchesRebuild(t *testing.T) {
 	const (
 		trials = 12
@@ -204,7 +207,61 @@ func TestIncrementalGuideMatchesRebuild(t *testing.T) {
 					seq.Reset()
 					compareGuideWords(t, fmt.Sprintf("trial %d post-reset", trial), inc, ref)
 				}
+				checkDamageArm(t, g, seed)
 			})
+		}
+	}
+}
+
+// checkDamageArm is TestIncrementalGuideMatchesRebuild's damage arm: each
+// trial's failure list is stamped onto fault-free masks
+// (core.MaskUpdater.Stamp), and engines refreshed by MasksDamaged must
+// match a full rebuild over the same bytes word for word — one sharing
+// the stamped masks, its guide budget switched off and back on
+// mid-sequence (SetGuideLimit empties the fault-free copy), and a
+// NewRepairedShardedEngine built on the faulted instance, whose own bytes
+// differ from the fault-free network it copies. The arm runs twice: with
+// the production cutover, then with the cutover disabled, so every trial
+// takes the copy + cone path even on families where one failure crosses
+// the cutover.
+func checkDamageArm(t *testing.T, g *graph.Graph, seed uint64) {
+	t.Helper()
+	const (
+		trials = 16
+		eps    = 0.01
+	)
+	for _, cone := range []bool{false, true} {
+		if cone {
+			defer route.SetGuideRebuildDivisor(0)()
+		}
+		inst := fault.NewInstance(g)
+		mu := core.NewMaskUpdater(g)
+		var m core.Masks
+		mu.Init(inst, &m)
+		dam := route.NewShardedEngine(g, 1)
+		ref := route.NewShardedEngine(g, 1)
+		dam.SetMasksShared(m.VertexOK, m.EdgeOK, m.OutAllowed)
+		ref.SetMasksShared(m.VertexOK, m.EdgeOK, m.OutAllowed)
+		bi := fault.NewBatchInjector(g)
+		bi.FillStream(fault.Symmetric(eps), seed, 0, trials)
+		for trial := 0; trial < trials; trial++ {
+			step := fmt.Sprintf("cone=%v trial %d", cone, trial)
+			bi.ApplyNext(inst)
+			list, _ := bi.AppliedFailures()
+			vs, es := mu.Stamp(&m, list)
+			if trial == trials/2 {
+				dam.SetGuideLimit(0)
+				if w, _ := dam.GuideWords(); w != nil {
+					t.Fatalf("%s: guide still on with a zero budget", step)
+				}
+				dam.SetGuideLimit(64)
+			}
+			dam.MasksDamaged(vs, es)
+			ref.MasksChanged()
+			compareGuideWords(t, step+" damage", dam, ref)
+			rp := route.NewRepairedShardedEngine(inst, 1)
+			rp.MasksDamaged(vs, es)
+			compareGuideWords(t, step+" repaired damage", rp, ref)
 		}
 	}
 }

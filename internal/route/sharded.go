@@ -16,9 +16,11 @@ package route
 // The differential tests in sharded_test.go lock this down.
 //
 // The guide is derived from the CSR-slot traversal bytes once per mask
-// epoch (rebuildGuide) and maintained incrementally between epochs
-// (MasksChangedDiff). Networks past the guide's width budget, and
-// unleveled graphs, route unguided with Router's level cut instead.
+// epoch (rebuildGuide) and maintained incrementally between epochs: from
+// a fault-free snapshot plus the trial's damage (MasksDamaged), or from
+// the previous epoch's words plus a diff (MasksChangedDiff). Networks past
+// the guide's width budget, and unleveled graphs, route unguided with
+// Router's level cut instead.
 
 import (
 	"fmt"
@@ -91,11 +93,11 @@ type ShardedEngine struct {
 	guideGroups int
 	outIdx      []int32 // per-vertex output index, -1 = not an output
 
-	// Incremental guide maintenance (MasksChangedDiff): a reverse-cone
-	// worklist over the leveling, a groups-wide row scratch, and the
-	// opt-in width budget (lane words per vertex) that gates whether the
-	// guide exists at all. guideLimit defaults to maxGuideGroups; big-n
-	// callers raise it with SetGuideLimit.
+	// Incremental guide maintenance (MasksDamaged, MasksChangedDiff): a
+	// reverse-cone worklist over the leveling, a groups-wide row scratch,
+	// and the opt-in width budget (lane words per vertex) that gates
+	// whether the guide exists at all. guideLimit defaults to
+	// maxGuideGroups; big-n callers raise it with SetGuideLimit.
 	guideWl    *graph.LevelWorklist
 	rowScratch []uint64
 	guideLimit int
@@ -107,6 +109,12 @@ type ShardedEngine struct {
 	lv *graph.Levels
 
 	stats ShardedStats
+
+	// faultFree is the guide of the fault-free network at the current
+	// width — a pure function of the graph and guideLimit, built on the
+	// first MasksDamaged and emptied by SetGuideLimit. MasksDamaged copies
+	// it back and recomputes only the damage's reverse cone.
+	faultFree []uint64
 }
 
 // maxGuideGroups bounds the guide's memory at 8 lane words (512 outputs)
@@ -114,12 +122,14 @@ type ShardedEngine struct {
 // raises the budget with SetGuideLimit.
 const maxGuideGroups = 8
 
-// guideRebuildDivisor is the incremental-maintenance cutover: a diff
-// touching at least 1/guideRebuildDivisor of all edges falls back to the
-// full rebuild, whose straight-line sweep beats worklist bookkeeping once
-// most rows are dirty anyway. Purely a cost choice — both paths produce
-// bit-identical guide words.
-const guideRebuildDivisor = 8
+// guideRebuildDivisor is the incremental-maintenance cutover: a change
+// list (a diff, or a trial's damage) naming at least 1/guideRebuildDivisor
+// of all edges falls back to the full rebuild, whose straight-line sweep
+// beats worklist bookkeeping once most rows are dirty anyway. Purely a
+// cost choice — both paths produce bit-identical guide words. DESIGN.md
+// §2.13 has the measurement behind the value (BenchmarkGuideCutover, which
+// alone changes it, through export_test.go).
+var guideRebuildDivisor = 8
 
 // NewShardedEngine returns an engine over the fault-free network g. The
 // shard count is ignored; the parameter is kept for the benchmark
@@ -218,10 +228,48 @@ func (se *ShardedEngine) ConnectBatch(reqs []Request, res []Result) []Result {
 // must make after mutating the shared bytes between batches. Skipping it
 // after a byte change breaks the sequential-parity contract: the probes
 // read the bytes live, but a stale guide prunes wrongly. It is the
-// full-sweep fallback of MasksChangedDiff: callers that know the exact
-// change lists should prefer the diff form, which costs O(#changes)
-// instead of O(E·groups).
+// full-sweep fallback of MasksDamaged and MasksChangedDiff: callers that
+// know the damage or the exact change lists should prefer those, which
+// cost O(#changes) instead of O(E·groups).
 func (se *ShardedEngine) MasksChanged() { se.rebuildGuide() }
+
+// MasksDamaged brings the guide up to date for masks that differ from the
+// fault-free network exactly at the given damage: the discarded vertices
+// and the blocked edges (core.MaskUpdater.Stamp's return values). It
+// copies the fault-free guide back — built on the first call, then kept —
+// and recomputes only the damage's reverse cone with MasksChangedDiff's
+// cone code, so its cost follows this trial's damage however different
+// the previous trial's masks were. Damage past the cutover takes the full
+// rebuild instead. The result is bit-identical to a full rebuild (locked
+// by TestIncrementalGuideMatchesRebuild).
+//
+// The lists may safely over-approximate but must cover every edge whose
+// byte differs from the fault-free network. Like MasksChanged, it must be
+// called between batches, never concurrently with ConnectBatch.
+//
+//ftcsn:hotpath per-trial guide refresh of the batched pipeline — O(damage), not O(E)
+func (se *ShardedEngine) MasksDamaged(vertices, edges []int32) {
+	if se.reachOut == nil {
+		// No guide is derived from the bytes (unleveled graph, too many
+		// outputs, or detached masks); the routers read the bytes live.
+		return
+	}
+	if (len(vertices)+len(edges))*guideRebuildDivisor >= se.g.NumEdges() {
+		se.rebuildGuide()
+		return
+	}
+	if len(se.faultFree) == 0 {
+		// First use at this width: the fault-free guide is the full
+		// rebuild over fault-free bytes.
+		live := se.allowed
+		se.allowed = se.g.BuildOutAllowed(nil, nil, nil)
+		se.rebuildGuide()
+		se.faultFree = append(se.faultFree[:0], se.reachOut...)
+		se.allowed = live
+	}
+	copy(se.reachOut, se.faultFree)
+	se.MasksChangedDiff(vertices, edges)
+}
 
 // MasksChangedDiff brings the guide up to date after an in-place edit of
 // the shared traversal bytes, given the exact change lists a mask
@@ -324,13 +372,14 @@ func (se *ShardedEngine) MasksChangedDiff(vertices, edges []int32) {
 // the budget never changes decisions, only probe cost.
 func (se *ShardedEngine) SetGuideLimit(groups int) {
 	se.guideLimit = groups
+	se.faultFree = se.faultFree[:0]
 	se.rebuildGuide()
 }
 
-// GuideWords exposes the output-reachability guide for tests and
-// diagnostics: the packed rows (guideGroups words per vertex; nil when the
-// guide is off) and the per-vertex word count. Read-only; contents are
-// valid only until the next mask epoch.
+// GuideWords exposes the output-reachability guide (the Engine seam): the
+// packed rows (guideGroups words per vertex, bit i of a row for
+// g.Outputs()[i]; nil when the guide is off) and the per-vertex word
+// count. Read-only; contents are valid only until the next mask epoch.
 func (se *ShardedEngine) GuideWords() ([]uint64, int) {
 	return se.reachOut, se.guideGroups
 }
@@ -352,7 +401,7 @@ func (se *ShardedEngine) PathOf(in, out int32) []int32 {
 // consumed only through the traversal bytes (vertexOK screens endpoints),
 // so edgeOK is unused. Slices are adopted without copying. Callers that
 // mutate the shared bytes in place afterwards must call MasksChanged (or
-// MasksChangedDiff) before the next ConnectBatch.
+// MasksDamaged, or MasksChangedDiff) before the next ConnectBatch.
 func (se *ShardedEngine) SetMasksShared(vertexOK, edgeOK []bool, outAllowed []uint8) {
 	se.circ.drain(func(_ int32, path []int32) { se.retirePath(path) })
 	se.vertexOK = vertexOK
