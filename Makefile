@@ -47,7 +47,9 @@ experiments-full:
 # Open-loop serving determinism smoke: the ftserve report must be a pure
 # function of its flags, so two fixed-seed runs must be byte-identical
 # (and exit clean) — on near-fault-free networks and at eps=0.03, where
-# the repaired network really blocks. CI runs this in the test job.
+# the repaired network really blocks — and an impossible fault rate
+# (eps=0.7, so ε₁+ε₂ > 1) must exit non-zero with nothing on stdout. CI
+# runs this in the test job.
 ftserve-smoke:
 	@set -e; \
 	$(GO) run ./cmd/ftserve -engine=sharded -seed=7 -eps=0.002 -duration=120 -report=30 > ftserve-a.out; \
@@ -59,6 +61,9 @@ ftserve-smoke:
 	$(GO) run ./cmd/ftserve -engine=router -eps=0.002 -seed=9 -arrival=mmpp -pattern=hotspot -duration=120 -report=30 > ftserve-a.out; \
 	$(GO) run ./cmd/ftserve -engine=router -eps=0.002 -seed=9 -arrival=mmpp -pattern=hotspot -duration=120 -report=30 > ftserve-b.out; \
 	cmp ftserve-a.out ftserve-b.out || { echo "ftserve report not deterministic"; exit 1; }; \
+	if $(GO) run ./cmd/ftserve -eps=0.7 > ftserve-a.out 2>/dev/null; then \
+		echo "ftserve accepted eps=0.7"; exit 1; fi; \
+	test ! -s ftserve-a.out || { echo "ftserve wrote a report for eps=0.7"; exit 1; }; \
 	rm -f ftserve-a.out ftserve-b.out; \
 	echo "ftserve smoke: deterministic"
 
@@ -90,7 +95,7 @@ fuzz-smoke:
 # regression, or any allocs/op increase, fails), bench-baseline refreshes
 # the baseline.
 
-BENCH_GATED := BenchmarkShardedChurn|BenchmarkShardedChurnParallel|BenchmarkGreedyConnect|BenchmarkEvaluatorTrial|BenchmarkEvaluatorBatchTrial|BenchmarkEvaluatorBatchCertTrial|BenchmarkEvaluatorShardedChurnTrial|BenchmarkZooBatchCertTrial|BenchmarkZooShardedChurnTrial|BenchmarkMonteCarloTheorem2Engine|BenchmarkMonteCarloCertificateEngine|BenchmarkPooledE8WitnessSweep|BenchmarkPooledE10CertSweep|BenchmarkWitnessChecks|BenchmarkOpenLoopServe|BenchmarkIncrementalGuideEpoch
+BENCH_GATED := BenchmarkShardedChurn|BenchmarkShardedChurnParallel|BenchmarkGreedyConnect|BenchmarkEvaluatorTrial|BenchmarkEvaluatorBatchTrial|BenchmarkEvaluatorBatchCertTrial|BenchmarkEvaluatorShardedChurnTrial|BenchmarkZooBatchCertTrial|BenchmarkZooShardedChurnTrial|BenchmarkMonteCarloTheorem2Engine|BenchmarkMonteCarloCertificateEngine|BenchmarkWitnessChecks|BenchmarkOpenLoopServe|BenchmarkIncrementalGuideEpoch
 BENCH_COUNT ?= 6
 BENCH_TIME ?= 0.6s
 

@@ -28,6 +28,7 @@ func main() {
 	ops := flag.Int("ops", 40, "churn operations")
 	seed := flag.Uint64("seed", 7, "seed")
 	flag.Parse()
+	die(fault.Symmetric(*eps).Validate())
 
 	p := core.Params{Nu: *nu, Gamma: 0, M: *m, DQ: *dq, Seed: 1}
 	nw, err := core.Build(p)

@@ -173,6 +173,9 @@ func run(c config) (string, int64, error) {
 	if c.hold <= 0 || c.rate <= 0 {
 		return "", 0, fmt.Errorf("rate %g and hold %g must be positive", c.rate, c.hold)
 	}
+	if err := fault.Symmetric(c.eps).Validate(); err != nil {
+		return "", 0, fmt.Errorf("eps %g: %w", c.eps, err)
+	}
 	nw, err := core.Build(core.DefaultParams(c.nu))
 	if err != nil {
 		return "", 0, err

@@ -68,6 +68,8 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		func(c *config) { c.holdDist = "uniform" },
 		func(c *config) { c.pattern = "tornado" },
 		func(c *config) { c.rate = 0 },
+		func(c *config) { c.eps = 0.7 },
+		func(c *config) { c.eps = -0.1 },
 	}
 	for i, tweak := range bad {
 		c := baseConfig()

@@ -67,12 +67,18 @@ func run(args []string, w io.Writer) error {
 	if *workers < 0 {
 		return fmt.Errorf("-workers must be >= 0, got %d", *workers)
 	}
+	if *trials < 0 {
+		return fmt.Errorf("-trials must be >= 0, got %d", *trials)
+	}
 
 	var epss []float64
 	for _, s := range strings.Split(*epsList, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
 		if err != nil {
 			return err
+		}
+		if err := fault.Symmetric(v).Validate(); err != nil {
+			return fmt.Errorf("-eps %v: %w", v, err)
 		}
 		epss = append(epss, v)
 	}

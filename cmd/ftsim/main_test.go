@@ -33,6 +33,10 @@ func TestRunRejectsBadInput(t *testing.T) {
 	for _, args := range [][]string{
 		{"-workers", "-1"},
 		{"-eps", "x"},
+		{"-eps", "1.5"},
+		{"-eps", "-0.1"},
+		{"-eps", "NaN"},
+		{"-trials", "-1"},
 		{"-kind", "torus"},
 		{"-nosuchflag"},
 	} {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"ftcsn/internal/arena"
 	"ftcsn/internal/fault"
 	"ftcsn/internal/netsim"
 	"ftcsn/internal/rng"
@@ -94,38 +93,29 @@ type Evaluator struct {
 	batch  *fault.BatchInjector
 	mu     *MaskUpdater
 	synced bool
-
-	// Pool bookkeeping (see EvaluatorPool): the arena backing this
-	// evaluator's buffers, returned by Release.
-	pool *EvaluatorPool
-	a    *arena.Arena
 }
 
-// NewEvaluator returns a reusable trial evaluator for nw.
-func NewEvaluator(nw *Network) *Evaluator { return NewEvaluatorIn(nw, nil) }
-
-// NewEvaluatorIn is NewEvaluator drawing every O(V)/O(E) buffer from a
-// (nil a allocates normally) — the pooled form behind EvaluatorPool. The
-// repair masks and traversal bytes are pre-sized here so the lazy
-// grow-on-first-use paths never allocate behind the arena's back.
-func NewEvaluatorIn(nw *Network, a *arena.Arena) *Evaluator {
-	rt := route.NewRouterIn(nw.G, a)
+// NewEvaluator returns a reusable trial evaluator for nw. The repair masks
+// and traversal bytes are pre-sized here, so the first trial does not grow
+// them.
+func NewEvaluator(nw *Network) *Evaluator {
+	rt := route.NewRouter(nw.G)
 	rt.EnablePathReuse()
 	ev := &Evaluator{
 		nw:    nw,
-		inst:  fault.NewInstanceIn(nw.G, a),
-		fsc:   fault.NewScratchIn(nw.G, a),
-		ac:    NewAccessCheckerIn(nw, a),
+		inst:  fault.NewInstance(nw.G),
+		fsc:   fault.NewScratch(nw.G),
+		ac:    NewAccessChecker(nw),
 		rt:    rt,
-		batch: fault.NewBatchInjectorIn(nw.G, a),
-		mu:    NewMaskUpdaterIn(nw.G, a),
+		batch: fault.NewBatchInjector(nw.G),
+		mu:    NewMaskUpdater(nw.G),
 	}
 	ev.eng = rt
 	nV, nE := nw.G.NumVertices(), nw.G.NumEdges()
-	ev.masks.VertexOK = a.Bools(nV)
-	ev.masks.EdgeOK = a.Bools(nE)
-	ev.masks.OutAllowed = a.Bytes(nE)
-	ev.masks.InAllowed = a.Bytes(nE)
+	ev.masks.VertexOK = make([]bool, nV)
+	ev.masks.EdgeOK = make([]bool, nE)
+	ev.masks.OutAllowed = make([]uint8, nE)
+	ev.masks.InAllowed = make([]uint8, nE)
 	return ev
 }
 
@@ -134,10 +124,6 @@ func NewEvaluatorIn(nw *Network, a *arena.Arena) *Evaluator {
 // be over the evaluator's graph and have sequential-batch semantics
 // (route.Router, route.ShardedEngine) for outcomes to stay bit-identical;
 // it is adopted lazily — the next StartBlock hands it the shared masks.
-// On a pooled evaluator the engine borrows arena-backed mask slices, so
-// Release detaches them (SetMasksShared(nil, nil, nil)): using the engine
-// after the evaluator's Release fails loudly instead of reading recycled
-// memory.
 func (ev *Evaluator) SetChurnEngine(eng route.Engine) {
 	ev.eng = eng
 	ev.synced = false

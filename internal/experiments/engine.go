@@ -3,7 +3,6 @@ package experiments
 import (
 	"math"
 
-	"ftcsn/internal/arena"
 	"ftcsn/internal/core"
 	"ftcsn/internal/fault"
 	"ftcsn/internal/graph"
@@ -27,52 +26,22 @@ type batchWitnessScratch struct {
 	witnessScratch
 	bi    *fault.BatchInjector
 	model fault.Model
-
-	// pooled backing (nil when unpooled): released by release() after the
-	// run, recycling the O(V)/O(E) buffers for the sweep's next network.
-	pool *core.EvaluatorPool
-	a    *arena.Arena
 }
 
 func (s *batchWitnessScratch) StartBlock(seed, first uint64, n int) {
 	s.bi.FillStream(s.model, seed, first, n)
 }
 
-// release returns the scratch's arena to the pool (no-op when unpooled or
-// nil). The scratch must not be used afterwards.
-func (s *batchWitnessScratch) release() {
-	if s == nil || s.pool == nil {
-		return
-	}
-	pool, a := s.pool, s.a
-	s.pool, s.a = nil, nil
-	s.sc, s.bi = nil, nil
-	pool.Put(a)
-}
-
 // batchWitnessScratchFor returns a constructor suitable for
-// montecarlo.RunBoolWith over graph g under the symmetric model eps,
-// drawing buffers from pool when non-nil (release with release()).
-func batchWitnessScratchFor(pool *core.EvaluatorPool, g *graph.Graph, eps float64) func() *batchWitnessScratch {
+// montecarlo.RunBoolWith over graph g under the symmetric model eps: each
+// worker gets its own instance, witness scratch and batch injector.
+func batchWitnessScratchFor(g *graph.Graph, eps float64) func() *batchWitnessScratch {
 	return func() *batchWitnessScratch {
-		var a *arena.Arena
-		if pool != nil {
-			a = pool.Get()
-		}
 		return &batchWitnessScratch{
-			witnessScratch: witnessScratch{inst: fault.NewInstanceIn(g, a), sc: fault.NewScratchIn(g, a)},
-			bi:             fault.NewBatchInjectorIn(g, a),
+			witnessScratch: witnessScratch{inst: fault.NewInstance(g), sc: fault.NewScratch(g)},
+			bi:             fault.NewBatchInjector(g),
 			model:          fault.Symmetric(eps),
-			pool:           pool,
-			a:              a,
 		}
-	}
-}
-
-// releaseWitnessScratches returns every pooled witness scratch's arena.
-func releaseWitnessScratches(scs []*batchWitnessScratch) {
-	for _, s := range scs {
-		s.release()
 	}
 }
 
@@ -168,21 +137,17 @@ func (s *batchEvalScratch) StartBlock(seed, first uint64, n int) {
 	}
 }
 
-// batchEvalScratchFor returns a constructor for batched evaluator scratch;
-// when pool is non-nil the evaluator's buffers come from a pooled arena
-// (fold results with mergeBatchEval, then hand the arenas back with
-// releaseBatchEval).
+// batchEvalScratchFor returns a constructor for batched evaluator scratch:
+// each worker gets its own core.Evaluator (fold the workers' results with
+// mergeBatchEval).
 //
 // Every scratch churns through a ShardedEngine: decisions and paths are
 // contractually bit-identical to the default sequential router (locked by
 // the churn differential harness and the E9 parity rows), and the guided
 // probes make churn-heavy experiments markedly faster.
-func batchEvalScratchFor(pool *core.EvaluatorPool, nw *core.Network, m fault.Model, seq bool) func() *batchEvalScratch {
+func batchEvalScratchFor(nw *core.Network, m fault.Model, seq bool) func() *batchEvalScratch {
 	return func() *batchEvalScratch {
 		ev := core.NewEvaluator(nw)
-		if pool != nil {
-			ev = pool.NewEvaluator(nw)
-		}
 		ev.SetChurnEngine(route.NewShardedEngine(nw.G, 1))
 		return &batchEvalScratch{
 			evalScratch: evalScratch{ev: ev, minFrac: math.Inf(1)},
@@ -201,17 +166,6 @@ func mergeBatchEval(scs []*batchEvalScratch) evalScratch {
 		}
 	}
 	return mergeEval(flat)
-}
-
-// releaseBatchEval returns every pooled evaluator's arena (no-op entries
-// for unpooled evaluators and never-started workers). Call only after
-// mergeBatchEval has folded the results out.
-func releaseBatchEval(scs []*batchEvalScratch) {
-	for _, s := range scs {
-		if s != nil {
-			s.ev.Release()
-		}
-	}
 }
 
 // mergeEval folds per-worker accumulators into one; nil entries (workers

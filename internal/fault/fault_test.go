@@ -49,6 +49,9 @@ func TestModelValidate(t *testing.T) {
 	if err := (Model{OpenProb: -0.1}).Validate(); err == nil {
 		t.Fatal("accepted negative ε")
 	}
+	if err := Symmetric(math.NaN()).Validate(); err == nil {
+		t.Fatal("accepted NaN ε")
+	}
 }
 
 func TestInjectZeroEps(t *testing.T) {

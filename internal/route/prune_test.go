@@ -21,9 +21,6 @@ func unprunedConnectRef(rt *Router, in, out int32) []int32 {
 	if rt.busy[in] || rt.busy[out] || !rt.usableVertex(in) || !rt.usableVertex(out) {
 		return nil
 	}
-	if _, dup := rt.circuits[circuitKey(in, out)]; dup {
-		return nil
-	}
 	n := rt.g.NumVertices()
 	seen := make([]bool, n)
 	prev := make([]int32, n)

@@ -22,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 
-	"ftcsn/internal/arena"
 	"ftcsn/internal/fault"
 	"ftcsn/internal/graph"
 )
@@ -36,9 +35,6 @@ var ErrBusyTerminal = errors.New("route: terminal already busy")
 // ErrDiscardedTerminal is returned when an endpoint has been discarded by
 // repair (its vertex mask bit is off).
 var ErrDiscardedTerminal = errors.New("route: terminal discarded by repair")
-
-// ErrDuplicateCircuit is returned when the requested circuit already exists.
-var ErrDuplicateCircuit = errors.New("route: circuit already exists")
 
 // Router maintains a set of vertex-disjoint circuits on a (possibly
 // repaired) network and serves connect/disconnect requests greedily.
@@ -80,13 +76,7 @@ type Router struct {
 
 // NewRouter returns a router over the fault-free network g.
 func NewRouter(g *graph.Graph) *Router {
-	return newRouterIn(g, nil, nil, nil)
-}
-
-// NewRouterIn is NewRouter drawing the O(V)/O(E) buffers from a (nil a
-// allocates normally) — the pooled form core.EvaluatorPool uses.
-func NewRouterIn(g *graph.Graph, a *arena.Arena) *Router {
-	return newRouterIn(g, nil, nil, a)
+	return newRouter(g, nil, nil)
 }
 
 // NewRepairedRouter returns a router over the repaired network defined by a
@@ -109,22 +99,18 @@ func repairedMasks(inst *fault.Instance) (usable, edgeOK []bool) {
 }
 
 func newRouter(g *graph.Graph, vertexOK, edgeOK []bool) *Router {
-	return newRouterIn(g, vertexOK, edgeOK, nil)
-}
-
-func newRouterIn(g *graph.Graph, vertexOK, edgeOK []bool, a *arena.Arena) *Router {
 	n := g.NumVertices()
 	rt := &Router{
 		g:         g,
 		vertexOK:  vertexOK,
 		edgeOK:    edgeOK,
-		busy:      a.Bools(n),
+		busy:      make([]bool, n),
 		circuits:  make(map[int64][]int32),
-		seenEpoch: a.U32(n),
-		prevEdge:  a.I32(n),
-		queue:     a.I32(256)[:0],
+		seenEpoch: make([]uint32, n),
+		prevEdge:  make([]int32, n),
+		queue:     make([]int32, 0, 256),
 	}
-	rt.allowedOwned = g.BuildOutAllowed(edgeOK, vertexOK, a.Bytes(g.NumEdges()))
+	rt.allowedOwned = g.BuildOutAllowed(edgeOK, vertexOK, nil)
 	rt.allowed = rt.allowedOwned
 	if lv, err := g.Levels(); err == nil {
 		rt.levels = lv.PerVertex()
@@ -177,9 +163,10 @@ func (rt *Router) usableEdge(e int32) bool {
 
 // Connect establishes a circuit from input in to output out along a path
 // of idle usable vertices, returning the path (in … out). It fails with
-// ErrBusyTerminal if either endpoint is busy, ErrDiscardedTerminal if
-// repair discarded an endpoint, ErrDuplicateCircuit on a duplicate
-// request, and ErrNoPath if the greedy search finds no idle route.
+// ErrBusyTerminal if either endpoint is busy (a live circuit holds both of
+// its endpoints busy, so this also rejects a duplicate request),
+// ErrDiscardedTerminal if repair discarded an endpoint, and ErrNoPath if
+// the greedy search finds no idle route.
 //
 //ftcsn:hotpath sequential reference router; 0 allocs/op pinned by BenchmarkGreedyConnect
 func (rt *Router) Connect(in, out int32) ([]int32, error) {
@@ -188,9 +175,6 @@ func (rt *Router) Connect(in, out int32) ([]int32, error) {
 	}
 	if !rt.usableVertex(in) || !rt.usableVertex(out) {
 		return nil, ErrDiscardedTerminal
-	}
-	if _, dup := rt.circuits[circuitKey(in, out)]; dup {
-		return nil, ErrDuplicateCircuit
 	}
 	rt.epoch++
 	if rt.epoch == 0 { // wrapped: clear stamps and restart epochs

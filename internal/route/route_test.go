@@ -103,6 +103,9 @@ func TestConnectBusyTerminal(t *testing.T) {
 	if _, err := rt.Connect(g.Inputs()[0], g.Outputs()[1]); !errors.Is(err, ErrBusyTerminal) {
 		t.Fatalf("err = %v, want ErrBusyTerminal", err)
 	}
+	if _, err := rt.Connect(g.Inputs()[0], g.Outputs()[0]); !errors.Is(err, ErrBusyTerminal) {
+		t.Fatalf("reconnecting the live pair: err = %v, want ErrBusyTerminal", err)
+	}
 }
 
 func TestCrossbarNonblocking(t *testing.T) {

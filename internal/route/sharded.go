@@ -566,9 +566,7 @@ func (se *ShardedEngine) retirePath(p []int32) {
 func (se *ShardedEngine) rebuildGuide() {
 	nOut := len(se.g.Outputs())
 	groups := (nOut + 63) >> 6
-	// se.allowed == nil means the masks were detached (an owner released
-	// its arena-backed slices); there is nothing to derive a guide from.
-	if se.lv == nil || nOut == 0 || groups > se.guideLimit || se.allowed == nil {
+	if se.lv == nil || nOut == 0 || groups > se.guideLimit {
 		se.reachOut = nil
 		se.guideGroups = 0
 		return

@@ -215,7 +215,7 @@ func TestShardedServeBatchAllocFree(t *testing.T) {
 		}
 	}
 	for i := 0; i < 8; i++ {
-		work() // warm pools and arenas
+		work() // warm path pools and scratch
 	}
 	if avg := testing.AllocsPerRun(50, work); avg != 0 {
 		t.Errorf("steady-state ConnectBatch allocated %.1f times per batch", avg)
